@@ -209,13 +209,19 @@ def _context(L: LieAlgebra) -> dict:
 # subcommands
 # ======================================================================
 
-def cmd_validate(args) -> int:
-    L = load_algebra(args.path)
+def _jacobi_holds(L: LieAlgebra) -> bool:
+    """Check Jacobi, printing the violated triples when it fails."""
     rep = L.validate()
     if not rep.ok:
         print("jacobi: violated at the following (i, j, k) triples:")
         for (i, j, k) in rep.violations:
             print(f"  ({i + 1}, {j + 1}, {k + 1})")
+    return rep.ok
+
+
+def cmd_validate(args) -> int:
+    L = load_algebra(args.path)
+    if not _jacobi_holds(L):
         return 2
     report = _context(L)
     report["jacobi"] = "ok"
@@ -234,6 +240,8 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     L = load_algebra(args.path)
+    if not _jacobi_holds(L):
+        return 2
     fp = classify.fingerprint(L)
     report = _context(L)
     report.update({
@@ -257,6 +265,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_capable(args) -> int:
     L = load_algebra(args.path)
+    if not _jacobi_holds(L):
+        return 2
     report = _context(L)
     if args.structural:
         verdict = classify.capability_structural(L)
@@ -276,6 +286,8 @@ def cmd_capable(args) -> int:
 
 def cmd_multiplier(args) -> int:
     L = load_algebra(args.path)
+    if not _jacobi_holds(L):
+        return 2
     report = _context(L)
     report["dim_multiplier"] = schur.schur_multiplier_dim(L)
     report["dim_exterior_square"] = schur.exterior_square_dim(L)

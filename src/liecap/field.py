@@ -9,7 +9,6 @@ are equal, which makes subspace equality structural later on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -97,7 +96,7 @@ class FieldSpec:
         return x % self.p
 
     def scalar(self, num: int, den: int = 1) -> Scalar:
-        """normalize: the canonical scalar num/den.  den must be invertible."""
+        """The canonical scalar num/den.  den must be invertible."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if self.kind == "Q":
@@ -137,7 +136,7 @@ class FieldSpec:
         return -a if self.kind == "Q" else (-a) % self.p
 
     def inv(self, a: Scalar) -> Scalar:
-        """invert: multiplicative inverse; ZeroDivisionError on zero."""
+        """Multiplicative inverse; ZeroDivisionError on zero."""
         if self.kind == "Q":
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
@@ -206,20 +205,3 @@ GF2 = FieldSpec.gf(2)
 GF3 = FieldSpec.gf(3)
 GF5 = FieldSpec.gf(5)
 
-
-# Module-level aliases matching the operation names used elsewhere.
-
-def normalize(field: FieldSpec, num: int, den: int = 1) -> Scalar:
-    return field.scalar(num, den)
-
-
-def invert(field: FieldSpec, a: Scalar) -> Scalar:
-    return field.inv(a)
-
-
-def find_omega(field: FieldSpec) -> Scalar:
-    return field.omega()
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // math.gcd(a, b) if a and b else 0

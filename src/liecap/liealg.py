@@ -417,34 +417,6 @@ class StemDecomposition:
 # module-level operations
 # ======================================================================
 
-def validate(L: LieAlgebra) -> JacobiReport:
-    return L.validate()
-
-
-def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
-    return L.bracket(x, y)
-
-
-def bracket_subspaces(L: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    return L.bracket_subspaces(a, b)
-
-
-def lower_central_series(L: LieAlgebra) -> tuple:
-    return L.lower_central_series()
-
-
-def upper_central_series(L: LieAlgebra) -> tuple:
-    return L.upper_central_series()
-
-
-def structural_predicates(L: LieAlgebra) -> StructuralProfile:
-    return L.structural_profile()
-
-
-def quotient(L: LieAlgebra, ideal: Subspace) -> tuple:
-    return L.quotient(ideal)
-
-
 def minimal_generators(L: LieAlgebra) -> Subspace:
     """Canonical complement of L^2: standard vectors at its non-pivot
     coordinates.  Spans a minimal generating set for nilpotent L."""

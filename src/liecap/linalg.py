@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce as _reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .field import FieldSpec, Scalar
+from .field import FieldSpec
 
 Vector = tuple  # tuple[Scalar, ...]
 
@@ -35,18 +34,6 @@ Vector = tuple  # tuple[Scalar, ...]
 # ======================================================================
 # vectors
 # ======================================================================
-
-def zero_vector(field: FieldSpec, n: int) -> Vector:
-    return (field.zero,) * n
-
-def vec_add(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(field: FieldSpec, c: Scalar, v: Sequence) -> Vector:
-    return tuple(field.mul(c, x) for x in v)
 
 def is_zero_vector(v: Sequence) -> bool:
     return all(x == 0 for x in v)
@@ -222,13 +209,6 @@ def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[in
     return _rref_gf(rows, field.p)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
-    """RREF of a Matrix: (reduced matrix, pivot columns, rank)."""
-    rows, pivots = rref_rows(m.field, m.rows)
-    reduced = Matrix(m.field, tuple(tuple(x for x in r) for r in rows), m.ncols)
-    return reduced, tuple(pivots), len(pivots)
-
-
 # ======================================================================
 # Subspace
 # ======================================================================
@@ -333,34 +313,32 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
     return Subspace(field, n, basis, tuple(idx))
 
 
-def _is_coordinate(sub: Subspace) -> bool:
-    for row, p in zip(sub.basis, sub.pivots):
-        for j, x in enumerate(row):
-            if j == p:
-                if x != sub.field.one:
-                    return False
-            elif x != 0:
-                return False
-    return True
-
-
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} as a canonical Subspace of field^ncols."""
+    """Null space {v : m v = 0} as a canonical Subspace of field^ncols.
+
+    m is reduced once, with its columns reversed, so every reduced row has
+    nonzero entries only at its pivot and at free columns to the left of it
+    in the original order.  The null-space vector of a free column c is 1 at
+    c, minus the reduced entries at the pivot columns right of c, and 0 at
+    every other free column.  Taken in increasing c these vectors are
+    already in reduced row echelon form with pivots at the free columns,
+    which is the canonical basis, so no second reduction is needed.
+    """
     f = m.field
     n = m.ncols
-    rows, pivots = rref_rows(f, m.rows)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
+    rows, pivots = rref_rows(f, [row[::-1] for row in m.rows])
+    pivcols = [n - 1 - p for p in pivots]
+    free = sorted(set(range(n)).difference(pivcols))
     basis = []
-    for fc in free:
+    for c in free:
         v = [f.zero] * n
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            x = rows[i][fc]
+        v[c] = f.one
+        for row, pc in zip(rows, pivcols):
+            x = row[n - 1 - c]
             if x != 0:
                 v[pc] = f.neg(x)
-        basis.append(v)
-    return span(f, n, basis)
+        basis.append(tuple(v))
+    return Subspace(f, n, tuple(basis), tuple(free))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -368,39 +346,11 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return span(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
 
 
-def _intersect_with_coordinates(s: Subspace, coord: Subspace) -> Subspace:
-    """{v in s : v_i = 0 for i outside coord's coordinate set}."""
-    f = s.field
-    outside = sorted(set(range(s.ambient_dim)) - set(coord.pivots))
-    if not outside or s.is_zero:
-        return s
-    # coefficient vectors c with (c . basis) zero at every outside coordinate
-    constraint = Matrix.from_rows(
-        f, [[row[z] for row in s.basis] for z in outside], ncols=s.dim
-    )
-    coeffs = kernel(constraint)
-    rows = []
-    for cv in coeffs.basis:
-        acc = [f.zero] * s.ambient_dim
-        for c, row in zip(cv, s.basis):
-            if c != 0:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        acc[j] = f.add(acc[j], f.mul(c, x))
-        rows.append(acc)
-    return span(f, s.ambient_dim, rows)
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection; Zassenhaus block reduction, with a fast path when one
-    operand is a coordinate subspace (the common case R meet F^2)."""
+    """Intersection by Zassenhaus block reduction."""
     a._check_mate(b)
     if a.is_zero or b.is_zero:
         return zero_subspace(a.field, a.ambient_dim)
-    if _is_coordinate(b):
-        return _intersect_with_coordinates(a, b)
-    if _is_coordinate(a):
-        return _intersect_with_coordinates(b, a)
     f, n = a.field, a.ambient_dim
     zero = [f.zero] * n
     stacked = [list(row) + list(row) for row in a.basis]
@@ -469,10 +419,6 @@ def reduce_rows(sub: Subspace, rows: Sequence[Sequence]) -> list:
         if nz.size:
             R[nz] = (R[nz] - np.outer(col[nz], B[i])) % p
     return [[int(x) for x in row] for row in R]
-
-
-def span_is_equal(a: Subspace, b: Subspace) -> bool:
-    return a == b
 
 
 def solve_right_inverse(m: Matrix) -> Matrix:

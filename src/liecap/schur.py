@@ -6,6 +6,11 @@ class c+1 is harmless: the discarded degrees lie inside [R, F] for any
 full free presentation, so the multiplier quotient (R cap F^2)/[R,F], the
 exterior square F^2/[R,F], and the exterior center are unchanged.
 
+Only [R, F] is built.  By Hopf's formula M(L) = (R cap F^2)/[R, F], and
+the projection pi : F -> L maps F^2 onto L^2 with kernel R cap F^2, so
+
+    dim M(L) = dim F^2 - dim L^2 - dim [R, F].
+
 Two internal shortcuts, both load-bearing for speed and both covered by
 dual-route tests against the direct definitions:
 
@@ -31,7 +36,6 @@ from .liealg import Hom, LieAlgebra, minimal_generators
 from .linalg import (
     Matrix,
     Subspace,
-    coordinate_subspace,
     is_zero_vector,
     kernel,
     reduce_rows,
@@ -52,7 +56,6 @@ class Presentation:
     section: Matrix
     R: Subspace
     RF: Subspace
-    RcapF2: Subspace
 
     @property
     def dim_F(self) -> int:
@@ -100,56 +103,32 @@ class DDResult(NamedTuple):
 # free presentations
 # ======================================================================
 
-def _generator_images(L: LieAlgebra, variant: int) -> list:
-    """Images in L for the free generators: a minimal generating basis,
-    optionally reordered or shifted by derived-subalgebra vectors.  All
-    variants generate the same algebra; they exist so tests can confirm
-    the invariants do not depend on the choice."""
-    base = [list(r) for r in minimal_generators(L).basis]
-    if variant == 0:
-        return base
-    if variant == 1:
-        return base[::-1]
-    if variant == 2:
-        shifted = []
-        der = L.derived_subalgebra()
-        for l, row in enumerate(base):
-            if der.dim:
-                extra = der.basis[l % der.dim]
-                row = [L.field.add(a, b) for a, b in zip(row, extra)]
-            shifted.append(row)
-        return shifted
-    raise ShapeError(f"unknown presentation variant {variant}")
-
-
-def free_presentation(L: LieAlgebra, variant: int = 0) -> Presentation:
+def free_presentation(L: LieAlgebra) -> Presentation:
     if L.dim == 0:
         raise ShapeError("zero algebra has no free presentation here")
     if not L.is_nilpotent:
         raise NotNilpotentError("free presentation requires a nilpotent algebra")
-    key = ("presentation", variant)
-    cached = L._cache.get(key)
-    if cached is not None:
-        return cached
+    cached = L._cache.get("presentation")
+    if cached is None:
+        images = [list(r) for r in minimal_generators(L).basis]
+        cached = _present(L, images)
+        L._cache["presentation"] = cached
+    return cached
 
-    cls = max(L.nilpotency_class(), 1)
-    images = _generator_images(L, variant)
-    d = len(images)
-    F = free_nilpotent(d, cls + 1, L.field)
+
+def _present(L: LieAlgebra, images: list) -> Presentation:
+    """L as F/R, with the free generators sent to `images`, which must
+    generate L.  Any generating images give the same invariants; tests
+    pass other choices to check that."""
+    F = free_nilpotent(len(images), max(L.nilpotency_class(), 1) + 1, L.field)
     pi = extend_hom(F, L, images)
     R = pi.kernel()
-    assert R.dim == F.dim - L.dim, "kernel dimension mismatch: pi not surjective"
+    if R.dim != F.dim - L.dim:
+        raise ShapeError("presentation map is not onto L "
+                         "(does the table satisfy Jacobi?)")
     section = solve_right_inverse(pi.matrix)
-
     RF = _commutator_with_free(F, R)
-    F2 = coordinate_subspace(L.field, F.dim, range(F.d, F.dim))
-    RcapF2 = subspace_intersect(R, F2)
-    assert RcapF2.dim == (F.dim - F.d) - L.derived_subalgebra().dim
-
-    pres = Presentation(L=L, F=F, pi=pi, section=section,
-                        R=R, RF=RF, RcapF2=RcapF2)
-    L._cache[key] = pres
-    return pres
+    return Presentation(L=L, F=F, pi=pi, section=section, R=R, RF=RF)
 
 
 def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
@@ -179,32 +158,29 @@ def commutator_full_route(F: FreeNilpotent, R: Subspace) -> Subspace:
 # invariants
 # ======================================================================
 
-def schur_multiplier_dim(L: LieAlgebra, variant: int = 0) -> int:
+def schur_multiplier_dim(L: LieAlgebra) -> int:
     if L.dim == 0:
         return 0
-    pres = free_presentation(L, variant)
-    return pres.RcapF2.dim - pres.RF.dim
+    pres = free_presentation(L)
+    return pres.dim_F2 - L.derived_subalgebra().dim - pres.RF.dim
 
 
-def exterior_square_dim(L: LieAlgebra, variant: int = 0) -> int:
+def exterior_square_dim(L: LieAlgebra) -> int:
     if L.dim == 0:
         return 0
-    pres = free_presentation(L, variant)
+    pres = free_presentation(L)
     return pres.dim_F2 - pres.RF.dim
 
 
-def exterior_center(L: LieAlgebra, variant: int = 0) -> Subspace:
+def exterior_center(L: LieAlgebra) -> Subspace:
     """{z in L : z wedge x = 0 for every x}, as a subspace of L."""
     if L.dim == 0:
         return zero_subspace(L.field, 0)
-    key = ("exterior_center", variant)
-    cached = L._cache.get(key)
-    if cached is not None:
-        return cached
-    pres = free_presentation(L, variant)
-    zc = _exterior_center_from(pres)
-    L._cache[key] = zc
-    return zc
+    cached = L._cache.get("exterior_center")
+    if cached is None:
+        cached = _exterior_center_from(free_presentation(L))
+        L._cache["exterior_center"] = cached
+    return cached
 
 
 def _exterior_center_from(pres: Presentation) -> Subspace:
@@ -232,9 +208,9 @@ def _exterior_center_from(pres: Presentation) -> Subspace:
     return kernel(m)
 
 
-def is_capable(L: LieAlgebra, variant: int = 0) -> bool:
+def is_capable(L: LieAlgebra) -> bool:
     """True exactly when the exterior center vanishes."""
-    return exterior_center(L, variant).is_zero
+    return exterior_center(L).is_zero
 
 
 def homology(L: LieAlgebra) -> HomologyReport:

@@ -345,6 +345,26 @@ def test_subprocess_missing_file_exit_code():
     assert proc.stderr
 
 
+@pytest.mark.parametrize("command", ["multiplier", "capable", "analyze"])
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+def test_subprocess_jacobi_violation_exits_two(tmp_path, command, optimize):
+    # nilpotent, but [x1,x2]=x3, [x2,x3]=x4, [x1,x4]=x5 breaks Jacobi at
+    # (1, 2, 3); the asserts stripped by -O must not matter
+    doc = {"schema_version": "1", "field": {"kind": "Q"}, "dim": 5,
+           "brackets": [{"i": 1, "j": 2, "out": [[3, "1"]]},
+                        {"i": 2, "j": 3, "out": [[4, "1"]]},
+                        {"i": 1, "j": 4, "out": [[5, "1"]]}]}
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "liecap.cli", command, str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ("jacobi: violated at the following "
+                           "(i, j, k) triples:\n  (1, 2, 3)\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_subprocess_multiplier_pipeline(tmp_path):
     path = tmp_path / "h1.json"
     emit_proc = run_cli("catalog", "emit", "H", "--m", "1",

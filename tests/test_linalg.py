@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecap import GF2, GF3, GF5, QQ, Matrix, Subspace, kernel, span
+from liecap import (
+    GF2, GF3, GF5, QQ, FieldSpec, Matrix, Subspace, kernel, span,
+)
 from liecap.errors import ShapeError
 from liecap.linalg import (
     complement_in,
@@ -16,7 +19,6 @@ from liecap.linalg import (
     full_subspace,
     reduce_rows,
     solve_right_inverse,
-    span_is_equal,
     subspace_intersect,
     subspace_sum,
     zero_subspace,
@@ -148,6 +150,34 @@ def test_kernel_vectors_actually_die():
             assert k.dim >= 2  # rank <= 3 in ambient dim 5
             for row in k.basis:
                 assert all(c == f.zero for c in m.apply(row))
+
+
+@st.composite
+def _matrices(draw):
+    """Small matrices over Q, GF(2), GF(3) and GF(101), zero rows and
+    columns allowed, with repeated rows to force rank deficiency."""
+    f = draw(st.sampled_from([QQ, GF2, GF3, FieldSpec.gf(101)]))
+    if f.is_rationals:
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2),
+                                 Fraction(-2, 3)])
+    else:
+        entry = st.integers(0, f.p - 1)
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         max_size=5))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    return Matrix.from_rows(f, rows, ncols=n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrices())
+def test_kernel_basis_is_canonical_and_exact(m):
+    f, n = m.field, m.ncols
+    k = kernel(m)
+    assert k == span(f, n, k.basis)
+    for row in k.basis:
+        assert all(c == f.zero for c in m.apply(row))
+    assert k.dim == n - span(f, n, m.rows).dim
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +312,8 @@ def test_coordinate_subspace_shape():
 def test_span_is_equal_ignores_presentation():
     a = span(QQ, 3, [[1, 1, 0], [0, 0, 1]])
     b = span(QQ, 3, [[2, 2, 2], [0, 0, -1]])
-    assert span_is_equal(a, b)
-    assert not span_is_equal(a, span(QQ, 3, [[1, 0, 0]]))
+    assert a == b
+    assert a != span(QQ, 3, [[1, 0, 0]])
 
 
 def test_contains_subspace():

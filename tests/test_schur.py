@@ -2,8 +2,10 @@
 
 The heavy lifting has an independent in-suite oracle: `commutator_full_route`
 recomputes the commutator subspace from the full relation space without the
-degree-truncation shortcut, and presentation variants 0/1/2 change the chosen
-section, which the reported invariants must not see.
+degree-truncation shortcut; R cap F^2, which the multiplier formula never
+builds, is intersected here and checked against dim F^2 - dim L^2; and
+presentations built from reordered or L^2-shifted generator images change
+the chosen section, which the reported invariants must not see.
 """
 
 import pytest
@@ -12,9 +14,15 @@ from fractions import Fraction
 from liecap import GF2, GF3, GF5, QQ, span
 from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
 from liecap.catalog import build
-from liecap.liealg import LieAlgebra, abelian, direct_sum
-from liecap.linalg import coordinate_subspace, zero_subspace
+from liecap.liealg import LieAlgebra, abelian, direct_sum, minimal_generators
+from liecap.linalg import (
+    coordinate_subspace,
+    subspace_intersect,
+    zero_subspace,
+)
 from liecap.schur import (
+    _exterior_center_from,
+    _present,
     commutator_full_route,
     epicenter_test_dd,
     exterior_center,
@@ -26,6 +34,13 @@ from liecap.schur import (
 )
 
 from oracles import brute_force_multiplier_dim_abelian
+
+
+def relations_in_F2(pres):
+    """R cap F^2, the numerator of Hopf's formula."""
+    F2 = coordinate_subspace(pres.L.field, pres.dim_F,
+                             range(pres.F.d, pres.dim_F))
+    return subspace_intersect(pres.R, F2)
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +57,7 @@ def test_abelian_presentation_has_all_quadratic_relations():
                                        range(n, pres.dim_F))
         assert pres.R.basis == expected.basis
         assert pres.RF.dim == 0
-        assert pres.RcapF2.basis == pres.R.basis
+        assert relations_in_F2(pres).basis == pres.R.basis
 
 
 def test_heisenberg_presentation_shape():
@@ -50,7 +65,7 @@ def test_heisenberg_presentation_shape():
     assert pres.dim_F == 5  # two generators, class cap 3
     assert pres.R.dim == 2
     assert pres.RF.dim == 0
-    assert pres.RcapF2.basis == pres.R.basis
+    assert relations_in_F2(pres).basis == pres.R.basis
 
 
 def test_chain_presentation_shape():
@@ -100,13 +115,16 @@ def test_commutator_shortcut_agrees_with_full_route():
         pres = free_presentation(L)
         full = commutator_full_route(pres.F, pres.R)
         assert full.basis == pres.RF.basis, L.name
+        rcap = relations_in_F2(pres)
+        assert rcap.dim == pres.dim_F2 - L.derived_subalgebra().dim, L.name
+        assert rcap.dim - full.dim == schur_multiplier_dim(L), L.name
 
 
 def test_commutator_sits_inside_quadratic_relations():
     for L in (build("L4_3", QQ), build("L6_10", GF3),
               build("L6_13", QQ), build("L27A", GF2)):
         pres = free_presentation(L)
-        assert pres.RcapF2.contains_subspace(pres.RF), L.name
+        assert relations_in_F2(pres).contains_subspace(pres.RF), L.name
 
 
 # ----------------------------------------------------------------------
@@ -200,22 +218,34 @@ def test_exterior_center_is_central_and_in_derived():
 # section independence
 # ----------------------------------------------------------------------
 
+def section_choices(L):
+    """Presentations from the minimal generators, the same reversed, and
+    the same each shifted by an L^2 basis vector."""
+    base = [list(r) for r in minimal_generators(L).basis]
+    der = L.derived_subalgebra().basis
+    shifted = base
+    if der:
+        shifted = [[L.field.add(a, b) for a, b in zip(row, der[l % len(der)])]
+                   for l, row in enumerate(base)]
+    return [_present(L, images) for images in (base, base[::-1], shifted)]
+
+
 def test_invariants_do_not_depend_on_the_section():
     for f in (QQ, GF3):
         for name, kw in (("L5_8", {}), ("L6_10", {}), ("L6_22", {"eps": 1})):
             L = build(name, f, **kw)
-            dims = {schur_multiplier_dim(L, variant=v) for v in (0, 1, 2)}
+            choices = section_choices(L)
+            dims = {p.dim_F2 - L.derived_subalgebra().dim - p.RF.dim
+                    for p in choices}
             assert len(dims) == 1, (f, name)
-            centers = {exterior_center(L, variant=v).basis
-                       for v in (0, 1, 2)}
+            centers = {_exterior_center_from(p).basis for p in choices}
             assert len(centers) == 1, (f, name)
 
 
 def test_variants_produce_distinct_relation_spaces():
     # the sections genuinely differ; only the invariants coincide
     L = build("L6_10", QQ)
-    sections = {free_presentation(L, variant=v).section.rows
-                for v in (0, 1, 2)}
+    sections = {p.section.rows for p in section_choices(L)}
     assert len(sections) > 1
 
 

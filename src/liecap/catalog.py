@@ -12,7 +12,7 @@ import random
 from functools import lru_cache
 from typing import Optional
 
-from .errors import FieldError, ResourceError, ScopeError
+from .errors import FieldError, ResourceError, ScopeError, ShapeError
 from .field import FieldSpec, Scalar
 from .liealg import LieAlgebra
 
@@ -125,8 +125,8 @@ def build(name: str, field: FieldSpec, n: Optional[int] = None,
 
 
 def _validated(L: LieAlgebra) -> LieAlgebra:
-    report = L.validate()
-    assert report.ok, f"catalog table for {L.name} violates Jacobi"
+    if not L.validate().ok:
+        raise ShapeError(f"catalog table for {L.name} violates Jacobi")
     return L
 
 
@@ -194,9 +194,10 @@ def random_gen_heisenberg(dim: int, rank: int, field: FieldSpec,
             continue
         if L.center().dim != rank:
             continue
-        assert L.validate().ok
         profile = L.structural_profile()
-        assert profile.is_stem and profile.gen_heisenberg_rank == rank
+        if not (L.validate().ok and profile.is_stem
+                and profile.gen_heisenberg_rank == rank):
+            raise ShapeError(f"sampler built an invalid {L.name}")
         return L
     raise ResourceError(
         f"sampler rejected {MAX_SAMPLER_TRIES} candidates "

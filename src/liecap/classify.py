@@ -49,10 +49,6 @@ ALL_RULES = (
 )
 
 
-def field_label(field: FieldSpec) -> str:
-    return "Q" if field.is_rationals else f"GF({field.p})"
-
-
 # ======================================================================
 # fingerprints
 # ======================================================================
@@ -95,7 +91,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         raise NotNilpotentError("fingerprint requires a nilpotent algebra")
     report = schur.homology(L)
     fp = Fingerprint(
-        field=field_label(L.field),
+        field=str(L.field),
         dim=L.dim,
         nilpotency_class=profile.nilpotency_class,
         lower_dims=tuple(s.dim for s in L.lower_central_series()),
@@ -189,7 +185,9 @@ def capability_structural(L: LieAlgebra) -> Verdict:
     sd = stem_decompose(L)
     t = sd.T.dim
     k = L.dim - t
-    assert t >= 5, "class-2 stem with 2-dim derived subalgebra has dim >= 5"
+    if t < 5:
+        raise ScopeError(
+            "class-2 stem with 2-dim derived subalgebra must have dim >= 5")
     if t == 5:
         return Verdict(True, RULE_CLASS2_STEM_DIM,
                        _with_tail("L5_8", k), f"stem dimension {t}")
@@ -333,7 +331,7 @@ def _rand_central_line(L: LieAlgebra, rng: random.Random) -> Optional[Subspace]:
 def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2), seed: int = 0,
                  samples: int = 200) -> VerificationReport:
     fields = tuple(fields)
-    report = VerificationReport([field_label(f) for f in fields], seed)
+    report = VerificationReport([str(f) for f in fields], seed)
     for f in fields:
         _check_multipliers(report, f)
     for f in fields:
@@ -359,7 +357,7 @@ def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2), seed: int = 0,
 
 
 def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "multiplier_dims"
     if f.characteristic != 2:
         for e in catalog.eps_values(f):
@@ -427,7 +425,7 @@ def _expected_class2(f: FieldSpec) -> list:
 
 
 def _check_class2(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     for L, want in _expected_class2(f):
         got = schur.is_capable(L)
         report.add("class2_capability", f"{lab}/{L.name}",
@@ -450,7 +448,7 @@ def _class3_instances(f: FieldSpec) -> list:
 
 
 def _check_class3(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "class3_capability"
     for L, want in _class3_instances(f):
         got = schur.is_capable(L)
@@ -495,7 +493,7 @@ def _check_class3(report: VerificationReport, f: FieldSpec) -> None:
 
 def _check_quotient_witnesses(report: VerificationReport,
                               f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "quotient_witnesses"
     cases = [("L5_7", 4, "L4_3"), ("L6_13", 5, "L5_5")]
     for src_name, kill, want_name in cases:
@@ -511,7 +509,7 @@ def _check_quotient_witnesses(report: VerificationReport,
 
 def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
                                seed: int) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "central_ideal_bound"
     algebras = catalog.standard_instances(f)
     violations = 0
@@ -557,7 +555,7 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
 
 
 def _check_central_products(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "central_products"
     cases = [
         ("H(1)cpH(1)", catalog.build("H", f, m=1),
@@ -597,7 +595,7 @@ def _push(proj, sub: Subspace, offset: int, width: int,
 
 
 def _check_free_algebra(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "free_algebra"
     for d, c in ((2, 4), (3, 4), (5, 3), (7, 3)):
         trees = hall_basis(d, c)
@@ -629,7 +627,7 @@ def _check_free_algebra(report: VerificationReport, f: FieldSpec) -> None:
 
 
 def _check_agreement(report: VerificationReport, f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "agreement"
     disagreements = []
     instances = 0
@@ -651,7 +649,7 @@ def _check_agreement(report: VerificationReport, f: FieldSpec) -> None:
 
 def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
                              seed: int, samples: int) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "random_heisenberg"
     ref_a = catalog.build("L27A", f)
     ref_b = catalog.build("L27B", f)
@@ -684,7 +682,7 @@ def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
 
 def _check_homology_identities(report: VerificationReport,
                                f: FieldSpec) -> None:
-    lab = field_label(f)
+    lab = str(f)
     sec = "homology_identities"
     bad = []
     checked = 0

@@ -27,7 +27,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import catalog, classify, schur
 from .errors import EngineError
@@ -200,7 +199,7 @@ def _check_expect(report: dict, expects) -> int:
 def _context(L: LieAlgebra) -> dict:
     return {
         "name": L.name or "(unnamed)",
-        "field": classify.field_label(L.field),
+        "field": str(L.field),
         "dim": L.dim,
     }
 

@@ -8,7 +8,7 @@ fixed admissible order: degree-compatible and deterministic.
 A tree t = (l, r) is a Hall tree when l and r are Hall trees with l < r and,
 if r = (r1, r2) is a node, r1 <= l.  Arbitrary brackets of basis elements are
 rewritten into the basis with antisymmetry and the Jacobi identity
-([u,[a,b]] = [[u,a],b] + [a,[u,b]]); per-degree counts are asserted against
+([u,[a,b]] = [[u,a],b] + [a,[u,b]]); per-degree counts are checked against
 the Witt formula at construction, and validate() on the result is the
 decisive correctness check exercised by the tests.
 
@@ -18,12 +18,10 @@ coerced into the requested field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Sequence, Union
 
-from . import liealg
 from .errors import NotNilpotentError, ResourceError, ShapeError
 from .field import FieldSpec
 from .liealg import Hom, LieAlgebra
@@ -53,13 +51,6 @@ def _struct_key(t: HallTree):
 def tree_order_key(t: HallTree):
     """Total order on Hall trees: degree, then structural key."""
     return (tree_degree(t), _struct_key(t))
-
-
-def tree_str(t: HallTree) -> str:
-    """Printable bracket string, e.g. [[x1,x2],x1] (1-based)."""
-    if isinstance(t, int):
-        return f"x{t + 1}"
-    return f"[{tree_str(t[0])},{tree_str(t[1])}]"
 
 
 def _is_hall_pair(l: HallTree, r: HallTree) -> bool:
@@ -95,7 +86,8 @@ def witt_dimension(d: int, k: int) -> int:
     for m in range(1, k + 1):
         if k % m == 0:
             total += _mobius(m) * d ** (k // m)
-    assert total % k == 0
+    if total % k:
+        raise ShapeError(f"Witt sum {total} not divisible by {k}")
     return total // k
 
 
@@ -127,8 +119,9 @@ def hall_basis(d: int, c: int) -> list:
                         items.append((l, r))
         items.sort(key=tree_order_key)
         expected = witt_dimension(d, k)
-        assert len(items) == expected, \
-            f"Hall count {len(items)} != Witt {expected} at degree {k}"
+        if len(items) != expected:
+            raise ShapeError(
+                f"Hall count {len(items)} != Witt {expected} at degree {k}")
         by_degree[k] = items
     out = []
     for k in range(1, c + 1):
@@ -218,25 +211,6 @@ class FreeNilpotent:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def degree_of(self, idx: int) -> int:
-        return self.degrees[idx]
-
-    def degree_start(self, k: int) -> int:
-        """Index of the first basis element of degree k (dim if none)."""
-        for i, dg in enumerate(self.degrees):
-            if dg >= k:
-                return i
-        return self.dim
-
-    @property
-    def generator_indices(self) -> range:
-        return range(self.d)
-
-    @property
-    def squared_indices(self) -> range:
-        """Coordinate indices spanning F^2 (all degrees >= 2)."""
-        return range(self.d, self.dim)
 
 
 @lru_cache(maxsize=None)

@@ -469,7 +469,8 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
     prod, proj = d.quotient(ideal)
     if name:
         prod.name = name
-    assert prod.dim == a.dim + b.dim - len(pairs)
+    if prod.dim != a.dim + b.dim - len(pairs):
+        raise ShapeError("central_product has the wrong dimension")
     return prod, proj
 
 

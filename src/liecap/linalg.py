@@ -399,7 +399,8 @@ def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
             picked.append(e)
             current = span(f, n, list(current.basis) + [e])
     result = span(f, n, list(seed.basis) + picked)
-    assert result.dim == n - avoid.dim
+    if result.dim != n - avoid.dim:
+        raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result
 
 

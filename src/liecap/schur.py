@@ -11,18 +11,16 @@ the projection pi : F -> L maps F^2 onto L^2 with kernel R cap F^2, so
 
     dim M(L) = dim F^2 - dim L^2 - dim [R, F].
 
-Two internal shortcuts, both load-bearing for speed and both covered by
-dual-route tests against the direct definitions:
+Both invariants bracket with the d free generators x_l only; tests check
+each against a route over the whole cover:
 
 * [R, F] is spanned by brackets of R-basis vectors with the d generators
   alone.  (Induction on Hall-tree degree: [r,[u,v]] = [[r,u],v] + [u,[r,v]]
   and R is an ideal, so both terms reduce to lower-degree second factors.)
-  Top-degree components of R-vectors are dropped first; they bracket to
-  zero in the truncated cover.
 
-* The exterior-center condition "z wedge x = 0 for all x in L" is tested
-  against lifts of an L-basis only: [s(z), h] mod [R,F] depends only on
-  the image of h in L.
+* The exterior center is {z : [s(z), x_l] in [R, F] for every generator x_l},
+  free generators only: [s(z), [a,b]] = [[s(z),a],b] + [a,[s(z),b]] lies in
+  [R, F] by induction on degree, because [R, F] is an ideal inside R.
 """
 
 from __future__ import annotations
@@ -131,27 +129,24 @@ def _present(L: LieAlgebra, images: list) -> Presentation:
     return Presentation(L=L, F=F, pi=pi, section=section, R=R, RF=RF)
 
 
+def _bracket_with_generators(F: FreeNilpotent, vecs) -> list:
+    """[v, x_l] for each v in `vecs` and each generator l < d, as dense
+    rows in that order."""
+    alg = F.algebra
+    one = F.field.one
+    rows = []
+    for v in vecs:
+        sv = {i: a for i, a in enumerate(v) if a != 0}
+        for l in range(F.d):
+            rows.append(alg._densify(alg.bracket_sparse(sv, {l: one})))
+    return rows
+
+
 def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
     """[R, F] inside the truncated cover, spanned over generators only."""
-    alg = F.algebra
-    top = F.degree_start(F.c)
-    rows = []
-    zeros = (alg.field.zero,) * (F.dim - top)
-    for r in R.basis:
-        trunc = tuple(r[:top]) + zeros
-        if is_zero_vector(trunc):
-            continue
-        for l in range(F.d):
-            w = alg.bracket(trunc, alg.basis_vector(l))
-            if not is_zero_vector(w):
-                rows.append(w)
-    return span(alg.field, F.dim, rows)
-
-
-def commutator_full_route(F: FreeNilpotent, R: Subspace) -> Subspace:
-    """[R, F] spanned over the full Hall basis.  Slow; used as the
-    cross-check oracle for _commutator_with_free."""
-    return F.algebra.bracket_subspaces(R, F.algebra.full_space())
+    rows = [w for w in _bracket_with_generators(F, R.basis)
+            if not is_zero_vector(w)]
+    return span(F.field, F.dim, rows)
 
 
 # ======================================================================
@@ -185,21 +180,16 @@ def exterior_center(L: LieAlgebra) -> Subspace:
 
 def _exterior_center_from(pres: Presentation) -> Subspace:
     L, F = pres.L, pres.F
-    n = L.dim
-    alg = F.algebra
+    n, d = L.dim, F.d
     lifts = [tuple(pres.section.rows[r][k] for r in range(F.dim))
              for k in range(n)]
-    pair_rows = []
-    for t in range(n):
-        for j in range(n):
-            pair_rows.append(alg.bracket(lifts[t], lifts[j]))
-    residuals = reduce_rows(pres.RF, pair_rows)
-    # constraint matrix over z-coordinates: one row per (j, cover coord)
+    residuals = reduce_rows(pres.RF, _bracket_with_generators(F, lifts))
+    # constraint matrix over z-coordinates: one row per (l, cover coord)
     zero = L.field.zero
     rows = []
-    for j in range(n):
+    for l in range(d):
         for c in range(F.dim):
-            row = [residuals[t * n + j][c] for t in range(n)]
+            row = [residuals[t * d + l][c] for t in range(n)]
             if any(x != zero for x in row):
                 rows.append(row)
     if not rows:

@@ -7,6 +7,8 @@ agreement is meaningful evidence rather than a tautology.
 import itertools
 from fractions import Fraction
 
+from liecap.linalg import Matrix, kernel, reduce_rows
+
 
 def lyndon_count(d: int, k: int) -> int:
     """Number of Lyndon words of length k over a d-letter alphabet, by direct
@@ -25,3 +27,26 @@ def brute_force_multiplier_dim_abelian(n: int) -> int:
     generators, counted as unordered index pairs: the multiplier of the
     n-dimensional abelian algebra."""
     return n * (n - 1) // 2
+
+
+def commutator_full_route(F, R):
+    """[R, F] spanned over the full Hall basis, not just the generators."""
+    return F.algebra.bracket_subspaces(R, F.algebra.full_space())
+
+
+def exterior_center_all_pairs(pres):
+    """The exterior center from the definition: z with [s(z), s(e_j)] in
+    [R, F] for the lift of every basis vector e_j of L, by n^2 dense cover
+    brackets."""
+    L, F = pres.L, pres.F
+    n, alg = L.dim, F.algebra
+    lifts = [tuple(pres.section.rows[r][k] for r in range(F.dim))
+             for k in range(n)]
+    residuals = reduce_rows(pres.RF, [alg.bracket(a, b)
+                                      for a in lifts for b in lifts])
+    rows = [[residuals[t * n + j][c] for t in range(n)]
+            for j in range(n) for c in range(F.dim)]
+    rows = [row for row in rows if any(x != 0 for x in row)]
+    if not rows:
+        return L.full_space()
+    return kernel(Matrix.from_rows(L.field, rows, ncols=n))

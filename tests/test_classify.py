@@ -15,7 +15,6 @@ from liecap.classify import (
     RULE_DERIVED_LINE,
     capability_structural,
     class3_stem_products,
-    field_label,
     fingerprint,
     plus_abelian,
     verify_paper,
@@ -183,9 +182,9 @@ def test_class3_stem_products_shapes():
 
 
 def test_field_labels():
-    assert field_label(QQ) == "Q"
-    assert field_label(GF2) == "GF(2)"
-    assert field_label(GF5) == "GF(5)"
+    assert str(QQ) == "Q"
+    assert str(GF2) == "GF(2)"
+    assert str(GF5) == "GF(5)"
 
 
 # ----------------------------------------------------------------------

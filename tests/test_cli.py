@@ -4,12 +4,15 @@ Most tests drive `main()` in-process for speed; a few go through a real
 subprocess to pin down interpreter-level behavior.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liecap
 from liecap import GF2, QQ
 from liecap.catalog import build
 from liecap.cli import algebra_from_doc, algebra_to_doc, doc_text, main
@@ -363,6 +366,16 @@ def test_subprocess_jacobi_violation_exits_two(tmp_path, command, optimize):
     assert proc.stdout == ("jacobi: violated at the following "
                            "(i, j, k) triples:\n  (1, 2, 3)\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so a check written as one would vanish
+    found = []
+    for path in sorted(Path(liecap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def test_subprocess_multiplier_pipeline(tmp_path):

@@ -115,12 +115,12 @@ def test_free_algebra_nilpotency_class_is_c():
 
 def test_degree_bookkeeping():
     F = free_nilpotent(2, 4, QQ)
-    assert [F.degree_of(i) for i in range(F.dim)] == [1, 1, 2, 3, 3, 4, 4, 4]
-    assert list(F.generator_indices) == [0, 1]
-    assert list(F.squared_indices) == [2, 3, 4, 5, 6, 7]
-    assert F.degree_start(2) == 2
-    assert F.degree_start(3) == 3
-    assert F.degree_start(4) == 5
+    assert list(F.degrees) == [1, 1, 2, 3, 3, 4, 4, 4]
+    assert list(range(F.d)) == [0, 1]
+    assert list(range(F.d, F.dim)) == [2, 3, 4, 5, 6, 7]
+    assert F.degrees.index(2) == 2
+    assert F.degrees.index(3) == 3
+    assert F.degrees.index(4) == 5
 
 
 def test_instances_are_cached():

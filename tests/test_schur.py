@@ -1,19 +1,26 @@
 """Multiplier, exterior square, and exterior center via free presentations.
 
-The heavy lifting has an independent in-suite oracle: `commutator_full_route`
-recomputes the commutator subspace from the full relation space without the
-degree-truncation shortcut; R cap F^2, which the multiplier formula never
+The heavy lifting has independent in-suite oracles: `commutator_full_route`
+recomputes the commutator subspace by bracketing R with the whole Hall
+basis, and `exterior_center_all_pairs` recomputes the exterior center by
+bracketing every pair of lifted basis vectors, where the package brackets
+with the free generators only; R cap F^2, which the multiplier formula never
 builds, is intersected here and checked against dim F^2 - dim L^2; and
 presentations built from reordered or L^2-shifted generator images change
-the chosen section, which the reported invariants must not see.
+the chosen section, which the reported invariants must not see.  A
+property test compares the exterior center with the all-pairs oracle on
+generated algebras F(d,c)/W.
 """
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, span
 from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
-from liecap.catalog import build
+from liecap.catalog import build, random_gen_heisenberg, standard_instances
+from liecap.classify import class3_stem_products, plus_abelian
+from liecap.freelie import free_nilpotent
 from liecap.liealg import LieAlgebra, abelian, direct_sum, minimal_generators
 from liecap.linalg import (
     coordinate_subspace,
@@ -23,7 +30,6 @@ from liecap.linalg import (
 from liecap.schur import (
     _exterior_center_from,
     _present,
-    commutator_full_route,
     epicenter_test_dd,
     exterior_center,
     exterior_square_dim,
@@ -33,7 +39,11 @@ from liecap.schur import (
     schur_multiplier_dim,
 )
 
-from oracles import brute_force_multiplier_dim_abelian
+from oracles import (
+    brute_force_multiplier_dim_abelian,
+    commutator_full_route,
+    exterior_center_all_pairs,
+)
 
 
 def relations_in_F2(pres):
@@ -212,6 +222,61 @@ def test_exterior_center_is_central_and_in_derived():
         zc = exterior_center(L)
         assert L.center().contains_subspace(zc)
         assert L.derived_subalgebra().contains_subspace(zc)
+
+
+def test_generator_exterior_center_agrees_with_all_pairs():
+    # Sums with A(1), A(2) only where dim L^2 <= 2 and class-3 products over
+    # Q only up to dim 7: the acceptance suite builds the same presentations
+    # (plus_abelian and the products are cached), and the rest would cost
+    # about 20 s of presentations that no other test shares.
+    cases = []
+    for f in (QQ, GF2, GF3, GF5):
+        for L in standard_instances(f):
+            ks = range(3) if L.derived_subalgebra().dim <= 2 else range(1)
+            cases += [plus_abelian(L, k) for k in ks]
+        cases += [P for P in class3_stem_products(f)
+                  if not (f.is_rationals and P.dim > 7)]
+        if not f.is_rationals:
+            cases += [random_gen_heisenberg(7, 2, f, seed=s)
+                      for s in range(20)]
+    for L in cases:
+        pres = free_presentation(L)
+        assert (_exterior_center_from(pres).basis
+                == exterior_center_all_pairs(pres).basis), (L.field, L.name)
+
+
+@st.composite
+def _top_degree_quotients(draw):
+    """F(d,c)/W for a random subspace W of the top degree.  W is central,
+    so every choice is an ideal and the quotient is nilpotent."""
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    d = draw(st.sampled_from([2, 3]))
+    c = draw(st.sampled_from([2, 3]))
+    F = free_nilpotent(d, c, f)
+    top = [i for i, dg in enumerate(F.degrees) if dg == c]
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+    coeffs = draw(st.lists(st.lists(entry, min_size=len(top),
+                                    max_size=len(top)),
+                           max_size=len(top)))
+    rows = []
+    for cs in coeffs:
+        row = [0] * F.dim
+        for i, a in zip(top, cs):
+            row[i] = a
+        rows.append(row)
+    L, _ = F.algebra.quotient(span(f, F.dim, rows))
+    return L
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_top_degree_quotients())
+def test_exterior_invariants_on_generated_algebras(L):
+    pres = free_presentation(L)
+    zc = _exterior_center_from(pres)
+    assert zc.basis == exterior_center_all_pairs(pres).basis
+    derived = L.derived_subalgebra()
+    assert subspace_intersect(L.center(), derived).contains_subspace(zc)
+    assert exterior_square_dim(L) == schur_multiplier_dim(L) + derived.dim
 
 
 # ----------------------------------------------------------------------

@@ -161,7 +161,7 @@ class LieAlgebra:
         full_b = b.dim == n
         if full_a and full_b:
             rows = [self._densify(sv) for sv in self.table.values()]
-            return linalg.span(self.field, n, rows)
+            return linalg._span_canonical(self.field, n, rows)
         rows = []
         for x in a.basis:
             sx = {i: c for i, c in enumerate(x) if c != 0}
@@ -170,7 +170,7 @@ class LieAlgebra:
                 sv = self.bracket_sparse(sx, sy)
                 if sv:
                     rows.append(self._densify(sv))
-        return linalg.span(self.field, n, rows)
+        return linalg._span_canonical(self.field, n, rows)
 
     def derived_subalgebra(self) -> Subspace:
         if "derived" not in self._cache:

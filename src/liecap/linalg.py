@@ -288,6 +288,14 @@ def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspa
     for row in rows:
         if len(row) != ambient_dim:
             raise ShapeError(f"row length {len(row)} != ambient {ambient_dim}")
+    return _span_canonical(field, ambient_dim, rows)
+
+
+def _span_canonical(field: FieldSpec, ambient_dim: int,
+                    rows: Iterable[Sequence]) -> Subspace:
+    """span() for rows the library built itself: scalars already canonical
+    in `field` and every row of length `ambient_dim`, so nothing is coerced
+    or checked again."""
     reduced, pivots = rref_rows(field, rows)
     basis = tuple(tuple(r) for r in reduced[: len(pivots)])
     return Subspace(field, ambient_dim, basis, tuple(pivots))
@@ -343,7 +351,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_mate(b)
-    return span(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
+    return _span_canonical(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -360,7 +368,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     for r in reduced[: len(pivots)]:
         if all(x == 0 for x in r[:n]):
             rows.append(r[n:])
-    return span(f, n, rows)
+    return _span_canonical(f, n, rows)
 
 
 def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
@@ -390,15 +398,15 @@ def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
     if subspace_sum(seed, avoid).dim != seed.dim + avoid.dim:
         raise ShapeError("extend_to_complement: seed meets avoid")
     picked: list[Vector] = []
-    current = span(f, n, list(seed.basis) + list(avoid.basis))
+    current = _span_canonical(f, n, list(seed.basis) + list(avoid.basis))
     for k in range(n):
         if current.dim == n:
             break
         e = tuple(f.one if j == k else f.zero for j in range(n))
         if not current.contains(e):
             picked.append(e)
-            current = span(f, n, list(current.basis) + [e])
-    result = span(f, n, list(seed.basis) + picked)
+            current = _span_canonical(f, n, list(current.basis) + [e])
+    result = _span_canonical(f, n, list(seed.basis) + picked)
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result

@@ -1,6 +1,23 @@
-"""Free presentations and the homological invariants built from them.
+"""The Schur multiplier, the exterior square and the exterior center, by
+one of two routes chosen from the size of the input.
 
-For a nilpotent algebra L of class c with d = dim(L/L^2), we present L as
+Wedge route.  L ^ L is Lambda^2 L / J with J = im d3, where
+
+    d3(x ^ y ^ z) = [x,y] ^ z + [y,z] ^ x + [z,x] ^ y
+
+(Chevalley-Eilenberg; Ellis).  J is spanned once from the C(n,3) basis
+triples i < j < k, as rows over the C(n,2) basis pairs e_i ^ e_j (i < j),
+and then
+
+    dim L ^ L = C(n,2) - dim J,     dim M(L) = dim L ^ L - dim L^2,
+    Z^(L) = {z : z ^ e_j in J for every j}.
+
+The residual of a basis pair e_p mod J is read off J's canonical rows:
+when p is a pivot of J it is minus the row with pivot p, that pivot entry
+dropped, and otherwise e_p itself, so no reduction pass is needed.  The
+cost depends on n = dim L alone.
+
+Presentation route.  For L of class c with d = dim(L/L^2), present L as
 F/R with F free nilpotent of class c+1 on d generators.  Truncating at
 class c+1 is harmless: the discarded degrees lie inside [R, F] for any
 full free presentation, so the multiplier quotient (R cap F^2)/[R,F], the
@@ -21,24 +38,41 @@ each against a route over the whole cover:
 * The exterior center is {z : [s(z), x_l] in [R, F] for every generator x_l},
   free generators only: [s(z), [a,b]] = [[s(z),a],b] + [a,[s(z),b]] lies in
   [R, F] by induction on degree, because [R, F] is an ideal inside R.
+
+Choice.  The wedge route costs C(n,3) * C(n,2); the presentation route
+(dim F(d,c+1) - n) * d * dim F(d,c+1), the size of the rows spanning
+[R, F], with the cover's dimension from the Witt formula, so nothing is
+built to decide.  Each route has a size guard, C(n,2) <= DEFAULT_MAX_DIM
+and dim F(d,c+1) <= DEFAULT_MAX_DIM; the cheaper route that fits runs,
+and ResourceError is raised only when neither fits.  The dim-0 and
+nilpotency checks come before either route.  The presentation
+route serves large free-type inputs, where R is small, and is the tests'
+ground-truth oracle for the wedge route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
-from .errors import NotIdealError, NotNilpotentError, ShapeError
-from .freelie import FreeNilpotent, extend_hom, free_nilpotent
+from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
+from .freelie import (
+    DEFAULT_MAX_DIM,
+    FreeNilpotent,
+    extend_hom,
+    free_dimension,
+    free_nilpotent,
+)
 from .liealg import Hom, LieAlgebra, minimal_generators
 from .linalg import (
     Matrix,
     Subspace,
     is_zero_vector,
     kernel,
+    _span_canonical,
     reduce_rows,
     solve_right_inverse,
-    span,
     subspace_intersect,
     zero_subspace,
 )
@@ -146,7 +180,110 @@ def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
     """[R, F] inside the truncated cover, spanned over generators only."""
     rows = [w for w in _bracket_with_generators(F, R.basis)
             if not is_zero_vector(w)]
-    return span(F.field, F.dim, rows)
+    return _span_canonical(F.field, F.dim, rows)
+
+
+# ======================================================================
+# the wedge route
+# ======================================================================
+
+def _route(L: LieAlgebra) -> str:
+    """'wedge' or 'presentation', by the cost rule in the module docstring.
+
+    L must be nonzero.  Nilpotency is checked first, and ResourceError is
+    raised, before anything is built, when neither route fits its guard."""
+    if not L.is_nilpotent:
+        raise NotNilpotentError("homology requires a nilpotent algebra")
+    n = L.dim
+    d = n - L.derived_subalgebra().dim
+    c = max(L.nilpotency_class(), 1) + 1
+    cover = free_dimension(d, c)
+    pairs = comb(n, 2)
+    wedge_fits = pairs <= DEFAULT_MAX_DIM
+    cover_fits = cover <= DEFAULT_MAX_DIM
+    if not (wedge_fits or cover_fits):
+        raise ResourceError(
+            f"Lambda^2 L has dimension {pairs} and F({d},{c}) has "
+            f"dimension {cover}, both > guard {DEFAULT_MAX_DIM}")
+    if wedge_fits and (not cover_fits or
+                       comb(n, 3) * pairs <= (cover - n) * d * cover):
+        return "wedge"
+    return "presentation"
+
+
+def _pair_columns(n: int) -> list:
+    """col[i][j] = col[j][i] = the column of e_i ^ e_j (i < j) among the
+    C(n,2) pairs in lexicographic order."""
+    col = [[0] * n for _ in range(n)]
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            col[i][j] = col[j][i] = p
+            p += 1
+    return col
+
+
+def _wedge_relations(L: LieAlgebra) -> Subspace:
+    """J = im d3 inside Lambda^2 L, spanned by d3 of the basis triples."""
+    cached = L._cache.get("wedge_relations")
+    if cached is not None:
+        return cached
+    f, n = L.field, L.dim
+    npairs = comb(n, 2)
+    col = _pair_columns(n)
+    get = L.table.get
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = get((i, j), {})
+            for k in range(j + 1, n):
+                bjk, bik = get((j, k), {}), get((i, k), {})
+                if not (bij or bjk or bik):
+                    continue
+                row = [f.zero] * npairs
+                # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
+                # e_t ^ e_m = -(e_m ^ e_t)
+                for br, m, flip in ((bij, k, False), (bjk, i, False),
+                                    (bik, j, True)):
+                    for t, x in br.items():
+                        if t != m:
+                            p = col[t][m]
+                            row[p] = f.add(row[p], f.neg(x)
+                                           if flip != (t > m) else x)
+                rows.append(row)
+    cached = _span_canonical(f, npairs, rows)
+    L._cache["wedge_relations"] = cached
+    return cached
+
+
+def _exterior_center_wedge(L: LieAlgebra) -> Subspace:
+    """{z : z ^ e_j in J for every j}: one constraint row per (j, column
+    of Lambda^2 L / J), whose entry at t is that column of the residual of
+    e_t ^ e_j mod J."""
+    f, n = L.field, L.dim
+    J = _wedge_relations(L)
+    col = _pair_columns(n)
+    pivot_row = dict(zip(J.pivots, J.basis))
+    residual = []
+    for p in range(comb(n, 2)):
+        row = pivot_row.get(p)
+        if row is None:
+            residual.append({p: f.one})
+        else:
+            residual.append({c: f.neg(x) for c, x in enumerate(row)
+                             if x != 0 and c != p})
+    rows: dict = {}
+    for j in range(n):
+        for t in range(n):
+            if t == j:
+                continue
+            for c, x in residual[col[t][j]].items():
+                if (j, c) not in rows:
+                    rows[(j, c)] = [f.zero] * n
+                rows[(j, c)][t] = x if t < j else f.neg(x)
+    if not rows:
+        return L.full_space()
+    return kernel(Matrix(f, tuple(tuple(r) for r in rows.values()), n))
 
 
 # ======================================================================
@@ -154,15 +291,14 @@ def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
 # ======================================================================
 
 def schur_multiplier_dim(L: LieAlgebra) -> int:
-    if L.dim == 0:
-        return 0
-    pres = free_presentation(L)
-    return pres.dim_F2 - L.derived_subalgebra().dim - pres.RF.dim
+    return exterior_square_dim(L) - L.derived_subalgebra().dim
 
 
 def exterior_square_dim(L: LieAlgebra) -> int:
     if L.dim == 0:
         return 0
+    if _route(L) == "wedge":
+        return comb(L.dim, 2) - _wedge_relations(L).dim
     pres = free_presentation(L)
     return pres.dim_F2 - pres.RF.dim
 
@@ -173,7 +309,10 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         return zero_subspace(L.field, 0)
     cached = L._cache.get("exterior_center")
     if cached is None:
-        cached = _exterior_center_from(free_presentation(L))
+        if _route(L) == "wedge":
+            cached = _exterior_center_wedge(L)
+        else:
+            cached = _exterior_center_from(free_presentation(L))
         L._cache["exterior_center"] = cached
     return cached
 

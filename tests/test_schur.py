@@ -1,6 +1,13 @@
-"""Multiplier, exterior square, and exterior center via free presentations.
+"""Multiplier, exterior square, and exterior center, by the wedge route
+(Lambda^2 L / im d3) and by free presentations.
 
-The heavy lifting has independent in-suite oracles: `commutator_full_route`
+The presentation route is the ground-truth oracle for the wedge route:
+both are compared by exact equality of dim M, dim L^L and the canonical
+exterior-center basis on the catalog, its abelian sums, the class-3 stem
+products, sampled algebras and generated F(d,c)/W.  Property tests check
+that a change of basis and a direct sum move the invariants as they must.
+
+The presentation route has independent in-suite oracles too: `commutator_full_route`
 recomputes the commutator subspace by bracketing R with the whole Hall
 basis, and `exterior_center_all_pairs` recomputes the exterior center by
 bracketing every pair of lifted basis vectors, where the package brackets
@@ -14,22 +21,34 @@ generated algebras F(d,c)/W.
 
 import pytest
 from fractions import Fraction
+from math import comb
 from hypothesis import given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, span
-from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
+from liecap.errors import (
+    NotIdealError,
+    NotNilpotentError,
+    ResourceError,
+    ShapeError,
+)
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import class3_stem_products, plus_abelian
 from liecap.freelie import free_nilpotent
 from liecap.liealg import LieAlgebra, abelian, direct_sum, minimal_generators
 from liecap.linalg import (
+    Matrix,
     coordinate_subspace,
+    solve_right_inverse,
     subspace_intersect,
     zero_subspace,
 )
+from liecap import schur
 from liecap.schur import (
     _exterior_center_from,
+    _exterior_center_wedge,
     _present,
+    _route,
+    _wedge_relations,
     epicenter_test_dd,
     exterior_center,
     exterior_square_dim,
@@ -226,9 +245,9 @@ def test_exterior_center_is_central_and_in_derived():
 
 def test_generator_exterior_center_agrees_with_all_pairs():
     # Sums with A(1), A(2) only where dim L^2 <= 2 and class-3 products over
-    # Q only up to dim 7: the acceptance suite builds the same presentations
-    # (plus_abelian and the products are cached), and the rest would cost
-    # about 20 s of presentations that no other test shares.
+    # Q only up to dim 7, to bound the oracle's n^2 cover brackets; the
+    # presentations of the rest are checked against the wedge route in
+    # test_wedge_route_agrees_with_presentation.
     cases = []
     for f in (QQ, GF2, GF3, GF5):
         for L in standard_instances(f):
@@ -277,6 +296,165 @@ def test_exterior_invariants_on_generated_algebras(L):
     derived = L.derived_subalgebra()
     assert subspace_intersect(L.center(), derived).contains_subspace(zc)
     assert exterior_square_dim(L) == schur_multiplier_dim(L) + derived.dim
+    wedge, presented = both_routes(L)
+    assert wedge == presented
+
+
+# ----------------------------------------------------------------------
+# the wedge route against the presentation route
+# ----------------------------------------------------------------------
+
+def both_routes(L):
+    """(dim L^L, dim M, Z^ basis, Z^ pivots) from the wedge route and from
+    the presentation on the minimal generators (`free_presentation` is
+    `_present(L, images)` for those images, cached on L)."""
+    der = L.derived_subalgebra().dim
+    ext = comb(L.dim, 2) - _wedge_relations(L).dim
+    zc = _exterior_center_wedge(L)
+    pres = free_presentation(L)
+    zp = _exterior_center_from(pres)
+    return ((ext, ext - der, zc.basis, zc.pivots),
+            (pres.dim_F2 - pres.RF.dim, pres.dim_F2 - der - pres.RF.dim,
+             zp.basis, zp.pivots))
+
+
+def test_wedge_route_agrees_with_presentation():
+    cases = []
+    for f in (QQ, GF2, GF3, GF5):
+        for L in standard_instances(f):
+            cases += [plus_abelian(L, k) for k in range(3)]
+        cases += list(class3_stem_products(f))
+        if not f.is_rationals:
+            cases += [random_gen_heisenberg(7, 2, f, seed=s)
+                      for s in range(20)]
+    for L in cases:
+        wedge, presented = both_routes(L)
+        assert wedge == presented, (L.field, L.name, L.dim)
+
+
+# ----------------------------------------------------------------------
+# route choice and the input boundary
+# ----------------------------------------------------------------------
+
+def test_route_is_presentation_for_free_algebras():
+    for d, c, f in ((7, 3, GF2), (5, 3, QQ), (4, 4, GF3), (3, 5, QQ)):
+        assert _route(free_nilpotent(d, c, f).algebra) == "presentation"
+
+
+def test_route_is_wedge_for_catalog_sums():
+    for f in (QQ, GF2, GF3, GF5):
+        for L in standard_instances(f):
+            if L.derived_subalgebra().dim > 2:
+                continue
+            for k in range(3):
+                Lk = direct_sum(L, abelian(f, k)) if k else L
+                assert _route(Lk) == "wedge", (f, Lk.name)
+
+
+def test_product_plus_abelian_past_the_cover_guard():
+    # F(10, 4), the presentation cover of L5_5 cp H(2) + A(3), has
+    # dimension 2860 > 2000; the wedge route needs C(12, 2) = 66 columns
+    for f in (GF3, QQ):
+        P = class3_stem_products(f)[-1]
+        assert P.name == "L5_5 cp H(2)" and P.dim == 9
+        pres = free_presentation(P)
+        m_P = pres.dim_F2 - P.derived_subalgebra().dim - pres.RF.dim
+        assert m_P == 21
+        d_P = P.dim - P.derived_subalgebra().dim
+        L = direct_sum(P, abelian(f, 3))
+        assert homology(L).dim_M == m_P + 3 + 3 * d_P == 45, f
+
+
+def test_non_nilpotent_rejected_by_every_invariant():
+    S = LieAlgebra(QQ, 2, {(0, 1): {1: Fraction(1)}})
+    for fn in (homology, schur_multiplier_dim, exterior_square_dim,
+               exterior_center):
+        with pytest.raises(NotNilpotentError):
+            fn(S)
+
+
+def test_resource_error_when_neither_route_fits(monkeypatch):
+    # H(34): n = 69, C(69, 2) = 2346 and dim F(68, 3) both > 2000
+    def built(*args):
+        pytest.fail("a route was started past both guards")
+
+    monkeypatch.setattr(schur, "_wedge_relations", built)
+    monkeypatch.setattr(schur, "free_presentation", built)
+    L = build("H", QQ, m=34)
+    assert L.dim == 69
+    for fn in (homology, schur_multiplier_dim, exterior_square_dim,
+               exterior_center):
+        with pytest.raises(ResourceError):
+            fn(L)
+    assert "wedge_relations" not in L._cache
+
+
+# ----------------------------------------------------------------------
+# properties: change of basis and direct sums
+# ----------------------------------------------------------------------
+
+@st.composite
+def _rebased(draw):
+    """(L, P^-1, L') with L a catalog algebra, P an invertible matrix drawn
+    as (permutation) . (unit lower) . (invertible upper), and L' the same
+    algebra on the basis f_a = sum_i P[i][a] e_i."""
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    L = draw(st.sampled_from(standard_instances(f)))
+    n = L.dim
+    if f.is_rationals:
+        entry, nonzero = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])
+    else:
+        entry, nonzero = st.integers(0, f.p - 1), st.integers(1, f.p - 1)
+    perm = draw(st.permutations(range(n)))
+    lower = [[f.coerce(draw(entry)) if j < i else f.coerce(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[f.coerce(draw(nonzero)) if j == i
+              else f.coerce(draw(entry)) if j > i else f.zero
+              for j in range(n)] for i in range(n)]
+    lu = [[sum((f.mul(lower[i][t], upper[t][j]) for t in range(n)), f.zero)
+           for j in range(n)] for i in range(n)]
+    P = Matrix.from_rows(f, [lu[perm[i]] for i in range(n)], ncols=n)
+    Pinv = solve_right_inverse(P)
+    cols = [P.column(a) for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = Pinv.apply(L.bracket(cols[a], cols[b]))
+            entry_ab = {k: x for k, x in enumerate(coords) if x != 0}
+            if entry_ab:
+                brackets[(a, b)] = entry_ab
+    return L, Pinv, LieAlgebra(f, n, brackets, name=f"{L.name}'")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_rebased())
+def test_invariants_survive_a_change_of_basis(case):
+    L, Pinv, L2 = case
+    assert L2.validate().ok
+    a, b = homology(L), homology(L2)
+    assert (a.dim_M, a.dim_exterior_square, a.exterior_center.dim,
+            a.capable) == (b.dim_M, b.dim_exterior_square,
+                           b.exterior_center.dim, b.capable)
+    moved = span(L.field, L.dim,
+                 [Pinv.apply(z) for z in a.exterior_center.basis])
+    assert moved == b.exterior_center
+
+
+@st.composite
+def _catalog_pairs(draw):
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    algebras = st.sampled_from(standard_instances(f))
+    return draw(algebras), draw(algebras)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_catalog_pairs())
+def test_kunneth_for_direct_sums(pair):
+    L, K = pair
+    gens = [A.dim - A.derived_subalgebra().dim for A in (L, K)]
+    assert (schur_multiplier_dim(direct_sum(L, K))
+            == schur_multiplier_dim(L) + schur_multiplier_dim(K)
+            + gens[0] * gens[1]), (L.field, L.name, K.name)
 
 
 # ----------------------------------------------------------------------

@@ -266,8 +266,5 @@ def extend_hom(F: FreeNilpotent, target: LieAlgebra,
         t = F.trees[idx]
         li, ri = F.index[t[0]], F.index[t[1]]
         img.append(target.bracket(img[li], img[ri]))
-    matrix = Matrix.from_rows(
-        F.field,
-        [[img[k][r] for k in range(F.dim)] for r in range(target.dim)],
-        ncols=F.dim)
+    matrix = Matrix(F.field, tuple(zip(*img)), F.dim)
     return Hom(F.algebra, target, matrix)

@@ -113,37 +113,35 @@ class LieAlgebra:
     # --- validation -------------------------------------------------------
 
     def validate(self) -> "JacobiReport":
-        """Check Jacobi on all basis triples i < j < k."""
+        """Check Jacobi on the basis triples i < j < k.  A triple none of
+        whose pairs is in the table satisfies it trivially, so only the
+        triples that meet a table entry are visited."""
         violations = []
         f = self.field
         n = self.dim
         get = self.table.get
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = get((i, j))
-                for k in range(j + 1, n):
-                    bjk = get((j, k))
-                    bik = get((i, k))
-                    if not (bij or bjk or bik):
-                        continue
-                    acc: SparseVec = {}
-                    for inner, outer, sign in (
-                        (bjk, i, 1),    # [e_i, [e_j, e_k]]
-                        (bik, j, -1),   # [e_j, [e_k, e_i]] = -[e_j, [e_i, e_k]]
-                        (bij, k, 1),    # [e_k, [e_i, e_j]]
-                    ):
-                        if not inner:
-                            continue
-                        for t, c in inner.items():
-                            for u, d in self.bracket_basis(outer, t).items():
-                                cd = f.mul(c, d) if sign > 0 else f.neg(f.mul(c, d))
-                                v = f.add(acc.get(u, f.zero), cd)
-                                if v == 0:
-                                    acc.pop(u, None)
-                                else:
-                                    acc[u] = v
-                    if acc:
-                        violations.append((i, j, k))
+        triples = {tuple(sorted((a, b, m)))
+                   for a, b in self.table for m in range(n) if m not in (a, b)}
+        for i, j, k in sorted(triples):
+            bij, bjk, bik = get((i, j)), get((j, k)), get((i, k))
+            acc: SparseVec = {}
+            for inner, outer, sign in (
+                (bjk, i, 1),    # [e_i, [e_j, e_k]]
+                (bik, j, -1),   # [e_j, [e_k, e_i]] = -[e_j, [e_i, e_k]]
+                (bij, k, 1),    # [e_k, [e_i, e_j]]
+            ):
+                if not inner:
+                    continue
+                for t, c in inner.items():
+                    for u, d in self.bracket_basis(outer, t).items():
+                        cd = f.mul(c, d) if sign > 0 else f.neg(f.mul(c, d))
+                        v = f.add(acc.get(u, f.zero), cd)
+                        if v == 0:
+                            acc.pop(u, None)
+                        else:
+                            acc[u] = v
+            if acc:
+                violations.append((i, j, k))
         return JacobiReport(ok=not violations, violations=tuple(violations))
 
     # --- subspace machinery ----------------------------------------------
@@ -162,11 +160,11 @@ class LieAlgebra:
         if full_a and full_b:
             rows = [self._densify(sv) for sv in self.table.values()]
             return linalg._span_canonical(self.field, n, rows)
+        sb = [{j: c for j, c in enumerate(y) if c != 0} for y in b.basis]
         rows = []
         for x in a.basis:
             sx = {i: c for i, c in enumerate(x) if c != 0}
-            for y in b.basis:
-                sy = {j: c for j, c in enumerate(y) if c != 0}
+            for sy in sb:
                 sv = self.bracket_sparse(sx, sy)
                 if sv:
                     rows.append(self._densify(sv))
@@ -195,8 +193,8 @@ class LieAlgebra:
                     rows[key] = [f.zero] * n
                 rows[key][j] = f.sub(rows[key][j], c)
         if rows:
-            m = Matrix.from_rows(f, [rows[k] for k in sorted(rows)], ncols=n)
-            z = linalg.kernel(m)
+            z = linalg.kernel(
+                Matrix(f, tuple(tuple(rows[k]) for k in sorted(rows)), n))
         else:
             z = self.full_space()
         self._cache["center"] = z
@@ -244,14 +242,8 @@ class LieAlgebra:
             zq = quot.center()
             # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
             # Z(Q) vanishes
-            rows = []
-            for k in range(self.dim):
-                img = proj.apply(self.basis_vector(k))
-                rows.append(zq.reduce(img))
-            m = Matrix.from_rows(self.field,
-                                 [[rows[k][t] for k in range(self.dim)]
-                                  for t in range(quot.dim)],
-                                 ncols=self.dim)
+            cols = [zq.reduce(proj.column(k)) for k in range(self.dim)]
+            m = Matrix(self.field, tuple(zip(*cols)), self.dim)
             nxt = linalg.kernel(m) if quot.dim else self.full_space()
             if nxt.dim == zi.dim:
                 series.append(nxt)  # stabilized below L: not nilpotent
@@ -311,12 +303,9 @@ class LieAlgebra:
                     brackets[(a, b)] = entry
         quot = LieAlgebra(f, m, brackets,
                           name=f"{self.name}/I" if self.name else "")
-        proj_rows = []
-        for k in range(self.dim):
-            residual = ideal.reduce(self.basis_vector(k))
-            proj_rows.append([residual[t] for t in keep])
-        matrix = Matrix.from_rows(f, [[proj_rows[k][a] for k in range(self.dim)]
-                                      for a in range(m)], ncols=self.dim)
+        cols = [ideal.reduce(self.basis_vector(k)) for k in range(self.dim)]
+        matrix = Matrix(f, tuple(tuple(cols[k][t] for k in range(self.dim))
+                                 for t in keep), self.dim)
         return quot, Hom(self, quot, matrix)
 
     def subalgebra_on(self, space: Subspace) -> "LieAlgebra":
@@ -489,10 +478,8 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     T.name = f"stem({L.name})" if L.name else ""
     A = LieAlgebra(f, a_space.dim, {}, name=f"A({a_space.dim})")
     d = direct_sum(T, A)
-    cols = [list(row) for row in t_space.basis] + [list(row) for row in a_space.basis]
-    iso_matrix = Matrix.from_rows(
-        f, [[cols[c][r] for c in range(d.dim)] for r in range(L.dim)],
-        ncols=d.dim)
+    iso_matrix = Matrix(f, tuple(zip(*t_space.basis, *a_space.basis)),
+                        d.dim)
     iso = Hom(d, L, iso_matrix)
     # stem property: Z(T) inside T^2 (= L^2)
     zt = T.center()

@@ -45,7 +45,10 @@ def is_zero_vector(v: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with entries canonical in `field`."""
+    """Immutable dense matrix with entries canonical in `field`.
+
+    from_rows() coerces outside input; direct construction must supply
+    canonical entries as tuples of rows."""
 
     field: FieldSpec
     rows: tuple  # tuple[tuple[Scalar, ...], ...]
@@ -444,8 +447,7 @@ def solve_right_inverse(m: Matrix) -> Matrix:
     pivots = [p for p in pivots if p < nc]
     if len(pivots) != nr:
         raise ShapeError("matrix does not have full row rank")
-    section = [[f.zero] * nr for _ in range(nc)]
+    section = [(f.zero,) * nr] * nc
     for i, p in enumerate(pivots):
-        for k in range(nr):
-            section[p][k] = reduced[i][nc + k]
-    return Matrix.from_rows(f, section, ncols=nr)
+        section[p] = tuple(reduced[i][nc:])
+    return Matrix(f, tuple(section), nr)

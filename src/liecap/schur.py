@@ -68,7 +68,6 @@ from .liealg import Hom, LieAlgebra, minimal_generators
 from .linalg import (
     Matrix,
     Subspace,
-    is_zero_vector,
     kernel,
     _span_canonical,
     reduce_rows,
@@ -164,22 +163,21 @@ def _present(L: LieAlgebra, images: list) -> Presentation:
 
 
 def _bracket_with_generators(F: FreeNilpotent, vecs) -> list:
-    """[v, x_l] for each v in `vecs` and each generator l < d, as dense
-    rows in that order."""
+    """[v, x_l] for each v in `vecs` and each generator l < d, as sparse
+    dicts in that order."""
     alg = F.algebra
     one = F.field.one
-    rows = []
+    out = []
     for v in vecs:
         sv = {i: a for i, a in enumerate(v) if a != 0}
-        for l in range(F.d):
-            rows.append(alg._densify(alg.bracket_sparse(sv, {l: one})))
-    return rows
+        out.extend(alg.bracket_sparse(sv, {l: one}) for l in range(F.d))
+    return out
 
 
 def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
     """[R, F] inside the truncated cover, spanned over generators only."""
-    rows = [w for w in _bracket_with_generators(F, R.basis)
-            if not is_zero_vector(w)]
+    rows = [F.algebra._densify(w)
+            for w in _bracket_with_generators(F, R.basis) if w]
     return _span_canonical(F.field, F.dim, rows)
 
 
@@ -320,21 +318,23 @@ def exterior_center(L: LieAlgebra) -> Subspace:
 def _exterior_center_from(pres: Presentation) -> Subspace:
     L, F = pres.L, pres.F
     n, d = L.dim, F.d
-    lifts = [tuple(pres.section.rows[r][k] for r in range(F.dim))
-             for k in range(n)]
-    residuals = reduce_rows(pres.RF, _bracket_with_generators(F, lifts))
+    lifts = zip(*pres.section.rows)
+    residuals = reduce_rows(pres.RF, [F.algebra._densify(w) for w in
+                                      _bracket_with_generators(F, lifts)])
     # constraint matrix over z-coordinates: one row per (l, cover coord)
     zero = L.field.zero
-    rows = []
-    for l in range(d):
-        for c in range(F.dim):
-            row = [residuals[t * d + l][c] for t in range(n)]
-            if any(x != zero for x in row):
-                rows.append(row)
+    rows: dict = {}
+    for i, res in enumerate(residuals):
+        t, l = divmod(i, d)
+        for c, x in enumerate(res):
+            if x != 0:
+                if (l, c) not in rows:
+                    rows[(l, c)] = [zero] * n
+                rows[(l, c)][t] = x
     if not rows:
         return L.full_space()
-    m = Matrix.from_rows(L.field, rows, ncols=n)
-    return kernel(m)
+    return kernel(Matrix(L.field, tuple(tuple(rows[k]) for k in sorted(rows)),
+                         n))
 
 
 def is_capable(L: LieAlgebra) -> bool:

@@ -7,7 +7,7 @@ agreement is meaningful evidence rather than a tautology.
 import itertools
 from fractions import Fraction
 
-from liecap.linalg import Matrix, kernel, reduce_rows
+from liecap.linalg import Matrix, kernel, reduce_rows, span
 
 
 def lyndon_count(d: int, k: int) -> int:
@@ -27,6 +27,29 @@ def brute_force_multiplier_dim_abelian(n: int) -> int:
     generators, counted as unordered index pairs: the multiplier of the
     n-dimensional abelian algebra."""
     return n * (n - 1) // 2
+
+
+def jacobi_violations_all_triples(L):
+    """Every basis triple i < j < k, in increasing order, at which
+    [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] is nonzero, from
+    dense brackets over all C(n,3) triples."""
+    f = L.field
+    e = [L.basis_vector(i) for i in range(L.dim)]
+    out = []
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        terms = (L.bracket(e[i], L.bracket(e[j], e[k])),
+                 L.bracket(e[j], L.bracket(e[k], e[i])),
+                 L.bracket(e[k], L.bracket(e[i], e[j])))
+        if any(f.add(f.add(x, y), z) != 0 for x, y, z in zip(*terms)):
+            out.append((i, j, k))
+    return tuple(out)
+
+
+def bracket_subspaces_all_pairs(L, a, b):
+    """span{[x, y]} over every pair of basis rows x of a, y of b, by dense
+    brackets."""
+    return span(L.field, L.dim, [L.bracket(x, y)
+                                 for x in a.basis for y in b.basis])
 
 
 def commutator_full_route(F, R):

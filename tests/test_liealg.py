@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, LieAlgebra, span
 from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
@@ -14,7 +15,10 @@ from liecap.liealg import (
     minimal_generators,
     stem_decompose,
 )
-from liecap.catalog import build
+from liecap.linalg import zero_subspace
+from liecap.catalog import build, standard_instances
+
+from oracles import bracket_subspaces_all_pairs, jacobi_violations_all_triples
 
 FIELDS = (QQ, GF2, GF3, GF5)
 
@@ -52,6 +56,29 @@ def test_all_catalog_tables_validate_over_all_fields():
     for f in FIELDS:
         for L in standard_instances(f):
             assert L.validate().ok, L.name
+
+
+@st.composite
+def _sparse_tables(draw):
+    """A random sparse table, mostly not a Lie algebra."""
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=6)) if pairs else []
+    table = {pair: draw(st.dictionaries(st.integers(0, n - 1), entry,
+                                        min_size=1, max_size=2))
+             for pair in chosen}
+    return LieAlgebra(f, n, table)
+
+
+# [x1,x2]=x3, [x2,x3]=x4, [x1,x4]=x5 breaks Jacobi at (x1,x2,x3)
+@example(LieAlgebra(QQ, 5, {(0, 1): {2: 1}, (1, 2): {3: 1}, (0, 3): {4: 1}}))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_tables())
+def test_validate_matches_all_triples(L):
+    assert L.validate().violations == jacobi_violations_all_triples(L)
 
 
 def test_table_entries_out_of_range_rejected():
@@ -110,9 +137,41 @@ def test_bracket_subspaces_of_whole_algebra():
 
 
 def test_bracket_subspaces_with_zero():
-    from liecap.linalg import zero_subspace
     L = build("L5_8", GF2)
     assert L.bracket_subspaces(L.full_space(), zero_subspace(GF2, 5)).dim == 0
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """(L, a, b): a catalog algebra and two subspaces, each the whole
+    algebra, zero or the span of random rows."""
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    L = draw(st.sampled_from(standard_instances(f)))
+    n = L.dim
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+
+    def subspace():
+        kind = draw(st.sampled_from(["full", "zero", "rows"]))
+        if kind == "full":
+            return L.full_space()
+        if kind == "zero":
+            return zero_subspace(f, n)
+        return span(f, n, draw(st.lists(st.lists(entry, min_size=n,
+                                                 max_size=n), max_size=n)))
+
+    return L, subspace(), subspace()
+
+
+_L6 = build("L6_22", GF3, eps=1)
+
+
+@example((_L6, _L6.full_space(), _L6.full_space()))
+@example((_L6, _L6.full_space(), zero_subspace(GF3, 6)))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_subspace_pairs())
+def test_bracket_subspaces_match_all_pairs(case):
+    L, a, b = case
+    assert L.bracket_subspaces(a, b) == bracket_subspaces_all_pairs(L, a, b)
 
 
 def test_derived_subalgebra_rank_two_example():

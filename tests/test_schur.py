@@ -22,27 +22,39 @@ generated algebras F(d,c)/W.
 import pytest
 from fractions import Fraction
 from math import comb
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, span
 from liecap.errors import (
     NotIdealError,
     NotNilpotentError,
     ResourceError,
+    ScopeError,
     ShapeError,
 )
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
-from liecap.classify import class3_stem_products, plus_abelian
+from liecap.classify import (
+    capability_structural,
+    class3_stem_products,
+    plus_abelian,
+)
 from liecap.freelie import free_nilpotent
-from liecap.liealg import LieAlgebra, abelian, direct_sum, minimal_generators
+from liecap.liealg import (
+    LieAlgebra,
+    abelian,
+    direct_sum,
+    minimal_generators,
+    stem_decompose,
+)
 from liecap.linalg import (
     Matrix,
     coordinate_subspace,
+    kernel,
     solve_right_inverse,
     subspace_intersect,
     zero_subspace,
 )
-from liecap import schur
+from liecap import linalg, schur
 from liecap.schur import (
     _exterior_center_from,
     _exterior_center_wedge,
@@ -62,6 +74,7 @@ from oracles import (
     brute_force_multiplier_dim_abelian,
     commutator_full_route,
     exterior_center_all_pairs,
+    lyndon_count,
 )
 
 
@@ -301,6 +314,53 @@ def test_exterior_invariants_on_generated_algebras(L):
 
 
 # ----------------------------------------------------------------------
+# matrices the library builds without coercing their entries again
+# ----------------------------------------------------------------------
+
+def assert_canonical(m):
+    """m equals Matrix.from_rows of its own rows, and every entry has the
+    canonical type: Fraction over Q, int in [0, p) over GF(p)."""
+    assert m == Matrix.from_rows(m.field, m.rows, ncols=m.ncols)
+    f = m.field
+    for row in m.rows:
+        for x in row:
+            if f.is_rationals:
+                assert type(x) is Fraction, (f, x)
+            else:
+                assert type(x) is int and 0 <= x < f.p, (f, x)
+
+
+def test_library_built_matrices_are_canonical(monkeypatch):
+    # every matrix handed to kernel(): the exterior-center constraints, the
+    # centers and the upper central series
+    handed = []
+
+    def recording(m):
+        handed.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(schur, "kernel", recording)
+    monkeypatch.setattr(linalg, "kernel", recording)
+    for f in (QQ, GF2, GF3):
+        cases = [free_nilpotent(d, c, f).algebra
+                 for d in (2, 3) for c in (2, 3)]
+        cases += standard_instances(f)
+        for L in cases:
+            pres = free_presentation(L)
+            handed.clear()
+            _exterior_center_from(pres)
+            assert handed, (f, L.name)
+            # a fresh copy, so its center and series are computed here
+            copy = LieAlgebra(f, L.dim, L.table, name=L.name)
+            copy.upper_central_series()
+            built = [pres.pi.matrix, pres.section,
+                     copy.quotient(copy.center())[1].matrix,
+                     stem_decompose(copy).iso.matrix] + handed
+            for m in built:
+                assert_canonical(m)
+
+
+# ----------------------------------------------------------------------
 # the wedge route against the presentation route
 # ----------------------------------------------------------------------
 
@@ -339,6 +399,20 @@ def test_wedge_route_agrees_with_presentation():
 def test_route_is_presentation_for_free_algebras():
     for d, c, f in ((7, 3, GF2), (5, 3, QQ), (4, 4, GF3), (3, 5, QQ)):
         assert _route(free_nilpotent(d, c, f).algebra) == "presentation"
+
+
+def test_free_algebra_homology_against_lyndon_counts():
+    # M(F(d,c)) is the degree-(c+1) part of the free Lie algebra, F(d,c)
+    # is capable, and dim F^2 counts the Lyndon words of length 2..c
+    for f in (QQ, GF2, GF3):
+        for d, c in ((2, 3), (3, 3), (2, 4), (3, 4)):
+            L = free_nilpotent(d, c, f).algebra
+            assert _route(L) == "presentation"
+            h = homology(L)
+            dim_F2 = sum(lyndon_count(d, k) for k in range(2, c + 1))
+            assert h.dim_M == lyndon_count(d, c + 1), (f, d, c)
+            assert h.dim_exterior_square == h.dim_M + dim_F2, (f, d, c)
+            assert h.exterior_center.is_zero, (f, d, c)
 
 
 def test_route_is_wedge_for_catalog_sums():
@@ -455,6 +529,24 @@ def test_kunneth_for_direct_sums(pair):
     assert (schur_multiplier_dim(direct_sum(L, K))
             == schur_multiplier_dim(L) + schur_multiplier_dim(K)
             + gens[0] * gens[1]), (L.field, L.name, K.name)
+
+
+# the draws lean to the small catalog algebras; the examples add the
+# non-capable ones with dim L^2 = 2 and one out of scope
+@example(build("L6_10", QQ))
+@example(build("L27B", GF3))
+@example(class3_stem_products(GF2)[0])
+@example(build("L5_8", GF2))
+@example(build("L5_7", QQ))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_rebased().map(lambda case: case[2]),
+                 _top_degree_quotients()))
+def test_structural_verdict_matches_ground_truth(L):
+    if L.derived_subalgebra().dim <= 2:
+        assert capability_structural(L).capable == is_capable(L), L.name
+    else:
+        with pytest.raises(ScopeError):
+            capability_structural(L)
 
 
 # ----------------------------------------------------------------------

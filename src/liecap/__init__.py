@@ -23,18 +23,15 @@ from .liealg import (
 )
 from .freelie import (
     FreeNilpotent,
-    extend_hom,
     free_nilpotent,
     hall_basis,
     witt_dimension,
 )
 from .schur import (
     HomologyReport,
-    Presentation,
     epicenter_test_dd,
     exterior_center,
     exterior_square_dim,
-    free_presentation,
     homology,
     is_capable,
     schur_multiplier_dim,
@@ -58,8 +55,7 @@ __all__ = [
     "LieAlgebra", "Hom", "abelian", "central_product", "direct_sum",
     "minimal_generators", "stem_decompose",
     "FreeNilpotent", "free_nilpotent", "hall_basis", "witt_dimension",
-    "extend_hom",
-    "Presentation", "HomologyReport", "free_presentation",
+    "HomologyReport",
     "schur_multiplier_dim", "exterior_square_dim", "exterior_center",
     "is_capable", "homology", "epicenter_test_dd",
     "build", "random_gen_heisenberg", "standard_instances",

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
-from .errors import NotNilpotentError, ResourceError, ShapeError
+from .errors import ResourceError, ShapeError
 from .field import FieldSpec
-from .liealg import Hom, LieAlgebra
-from .linalg import Matrix
+from .liealg import LieAlgebra
 
 HallTree = Union[int, tuple]
 
@@ -240,31 +239,3 @@ def normalize_bracket(F: FreeNilpotent, t1: HallTree, t2: HallTree) -> tuple:
         raise ShapeError("argument is not a Hall basis tree of this algebra")
     sv = F.algebra.bracket_basis(i, j)
     return F.algebra._densify(sv)
-
-
-def extend_hom(F: FreeNilpotent, target: LieAlgebra,
-               images: Sequence[Sequence]) -> Hom:
-    """The unique homomorphism F -> target sending generator l to images[l].
-
-    Requires target nilpotent of class <= c (then the assignment extends by
-    evaluating each Hall tree in the target).
-    """
-    if len(images) != F.d:
-        raise ShapeError(f"need {F.d} generator images, got {len(images)}")
-    if target.field != F.field:
-        raise ShapeError("field mismatch between free algebra and target")
-    if not target.is_nilpotent or target.nilpotency_class() > F.c:
-        raise NotNilpotentError(
-            f"target must be nilpotent of class <= {F.c}")
-    img: list = []
-    for l in range(F.d):
-        v = tuple(F.field.coerce(x) for x in images[l])
-        if len(v) != target.dim:
-            raise ShapeError("generator image has wrong length")
-        img.append(v)
-    for idx in range(F.d, F.dim):
-        t = F.trees[idx]
-        li, ri = F.index[t[0]], F.index[t[1]]
-        img.append(target.bracket(img[li], img[ri]))
-    matrix = Matrix(F.field, tuple(zip(*img)), F.dim)
-    return Hom(F.algebra, target, matrix)

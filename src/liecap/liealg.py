@@ -200,20 +200,48 @@ class LieAlgebra:
         self._cache["center"] = z
         return z
 
+    def degrees(self) -> Optional[tuple]:
+        """The degree of each basis vector when the basis is standard-graded,
+        else None.
+
+        Basis vectors in no bracket's support get degree 1, and every table
+        entry (i, j) -> k sets deg k = deg i + deg j.  The basis is
+        standard-graded when this gives every vector exactly one degree and
+        dim L^2 = #{deg >= 2}.  Then [V_a, V_b] lies in V_{a+b}, L^2 is
+        V_{>=2}, so V_k = [V_1, V_{k-1}] for k >= 2 and L^k is the
+        coordinate span of {e_i : deg e_i >= k}: L is nilpotent of class
+        max deg.
+        """
+        if "degrees" not in self._cache:
+            deg = _table_degrees(self.table, self.dim)
+            if deg is not None and self.derived_subalgebra().dim != sum(
+                    1 for x in deg if x > 1):
+                deg = None
+            self._cache["degrees"] = deg
+        return self._cache["degrees"]
+
     def lower_central_series(self) -> tuple:
-        """(L^1, L^2, ...) down to 0 or to stabilization."""
+        """(L^1, L^2, ...) down to 0 or to stabilization: read off the
+        degrees when the basis is standard-graded, else by brackets."""
         if "lcs" in self._cache:
             return self._cache["lcs"]
-        full = self.full_space()
-        series = [full]
-        while True:
-            nxt = self.bracket_subspaces(series[-1], full)
-            if nxt.dim == series[-1].dim:
-                series.append(nxt)  # stabilized (nonzero unless already zero)
-                break
-            series.append(nxt)
-            if nxt.is_zero:
-                break
+        f, n = self.field, self.dim
+        deg = self.degrees()
+        if deg is not None:
+            series = [linalg.coordinate_subspace(
+                f, n, [i for i in range(n) if deg[i] >= k])
+                for k in range(1, max(deg, default=1) + 2)]
+        else:
+            full = self.full_space()
+            series = [full]
+            while True:
+                nxt = self.bracket_subspaces(series[-1], full)
+                if nxt.dim == series[-1].dim:
+                    series.append(nxt)  # stabilized (nonzero unless zero)
+                    break
+                series.append(nxt)
+                if nxt.is_zero:
+                    break
         self._cache["lcs"] = tuple(series)
         return self._cache["lcs"]
 
@@ -330,6 +358,28 @@ class LieAlgebra:
         """Structural equality: same field, dim, and bracket table."""
         return (self.field == other.field and self.dim == other.dim
                 and self.table == other.table)
+
+
+def _table_degrees(table: Mapping, n: int) -> Optional[tuple]:
+    """Degrees read off a bracket table: 1 for vectors in no bracket's
+    support, deg i + deg j for each target of [e_i, e_j].  None when a
+    vector gets two degrees or none (as in [e_0, e_1] = e_1)."""
+    targets = {k for entry in table.values() for k in entry}
+    deg = [None if k in targets else 1 for k in range(n)]
+    pending = list(table.items())
+    while pending:
+        ready = [x for x in pending if deg[x[0][0]] and deg[x[0][1]]]
+        if not ready:
+            return None
+        pending = [x for x in pending if not (deg[x[0][0]] and deg[x[0][1]])]
+        for (i, j), entry in ready:
+            s = deg[i] + deg[j]
+            for k in entry:
+                if deg[k] is None:
+                    deg[k] = s
+                elif deg[k] != s:
+                    return None
+    return None if None in deg else tuple(deg)
 
 
 # ======================================================================

@@ -161,13 +161,14 @@ def _rref_q(rows: Iterable[Sequence]) -> tuple[list, list[int]]:
     """RREF over Q.  Returns (canonical Fraction rows, pivots)."""
     work = _q_rows_to_int(rows)
     pivots = _rref_int(work)
+    zero = Fraction(0)
     out = []
     for i, c in enumerate(pivots):
         pv = work[i][c]
-        out.append([Fraction(x, pv) for x in work[i]])
+        out.append([Fraction(x, pv) if x else zero for x in work[i]])
     nzero = len(work) - len(pivots)
     width = len(work[0]) if work else 0
-    out.extend([Fraction(0)] * width for _ in range(nzero))
+    out.extend([zero] * width for _ in range(nzero))
     return out, pivots
 
 
@@ -199,7 +200,7 @@ def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
             A[nzr] = (A[nzr] - np.outer(col[nzr], A[r])) % p
         pivots.append(c)
         r += 1
-    return [[int(x) for x in row] for row in A], pivots
+    return A.tolist(), pivots
 
 
 def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[int]]:
@@ -317,11 +318,12 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
     idx = sorted(set(indices))
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise ShapeError(f"coordinate index out of range for ambient {n}")
-    one, zero = field.one, field.zero
-    basis = tuple(
-        tuple(one if j == i else zero for j in range(n)) for i in idx
-    )
-    return Subspace(field, n, basis, tuple(idx))
+    basis = []
+    for i in idx:
+        row = [field.zero] * n
+        row[i] = field.one
+        basis.append(tuple(row))
+    return Subspace(field, n, tuple(basis), tuple(idx))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -413,41 +415,3 @@ def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result
-
-
-def reduce_rows(sub: Subspace, rows: Sequence[Sequence]) -> list:
-    """Residuals of many vectors mod `sub` (batched; numpy over GF(p))."""
-    if not rows:
-        return []
-    f = sub.field
-    if f.is_rationals or sub.is_zero:
-        return [list(sub.reduce(r)) for r in rows]
-    p = f.p
-    R = np.array([list(r) for r in rows], dtype=np.int64) % p
-    B = np.array([list(b) for b in sub.basis], dtype=np.int64)
-    for i, pc in enumerate(sub.pivots):
-        col = R[:, pc].copy()
-        nz = np.flatnonzero(col)
-        if nz.size:
-            R[nz] = (R[nz] - np.outer(col[nz], B[i])) % p
-    return [[int(x) for x in row] for row in R]
-
-
-def solve_right_inverse(m: Matrix) -> Matrix:
-    """A section s with m . s = identity (m must have full row rank).
-
-    Found by reducing [m | I]: if U m is the RREF with pivot columns P, then
-    s(e_k) = sum_i U[i][k] e_{P_i}.
-    """
-    f = m.field
-    nr, nc = m.nrows, m.ncols
-    aug = [list(row) + [f.one if i == j else f.zero for j in range(nr)]
-           for i, row in enumerate(m.rows)]
-    reduced, pivots = rref_rows(f, aug)
-    pivots = [p for p in pivots if p < nc]
-    if len(pivots) != nr:
-        raise ShapeError("matrix does not have full row rank")
-    section = [(f.zero,) * nr] * nc
-    for i, p in enumerate(pivots):
-        section[p] = tuple(reduced[i][nc:])
-    return Matrix(f, tuple(section), nr)

@@ -1,100 +1,68 @@
-"""The Schur multiplier, the exterior square and the exterior center, by
-one of two routes chosen from the size of the input.
+"""The Schur multiplier, the exterior square and the exterior center of a
+nilpotent Lie algebra, from the wedge construction.
 
-Wedge route.  L ^ L is Lambda^2 L / J with J = im d3, where
+L ^ L is Lambda^2 L / J with J = im d3, where
 
     d3(x ^ y ^ z) = [x,y] ^ z + [y,z] ^ x + [z,x] ^ y
 
-(Chevalley-Eilenberg; Ellis).  J is spanned once from the C(n,3) basis
-triples i < j < k, as rows over the C(n,2) basis pairs e_i ^ e_j (i < j),
-and then
+(Chevalley-Eilenberg; Ellis), so that
 
-    dim L ^ L = C(n,2) - dim J,     dim M(L) = dim L ^ L - dim L^2,
-    Z^(L) = {z : z ^ e_j in J for every j}.
+    dim L ^ L = C(n,2) - dim J,     dim M(L) = dim L ^ L - dim L^2.
 
-The residual of a basis pair e_p mod J is read off J's canonical rows:
-when p is a pivot of J it is minus the row with pivot p, that pivot entry
-dropped, and otherwise e_p itself, so no reduction pass is needed.  The
-cost depends on n = dim L alone.
+J is spanned by d3 of the basis triples i < j < k that meet a bracket of
+the table, as rows over the basis pairs e_i ^ e_j (i < j) in
+lexicographic order.
 
-Presentation route.  For L of class c with d = dim(L/L^2), present L as
-F/R with F free nilpotent of class c+1 on d generators.  Truncating at
-class c+1 is harmless: the discarded degrees lie inside [R, F] for any
-full free presentation, so the multiplier quotient (R cap F^2)/[R,F], the
-exterior square F^2/[R,F], and the exterior center are unchanged.
+Degree cut.  When the basis is standard-graded (LieAlgebra.degrees, with
+V_k = [V_1, V_{k-1}] for k >= 2), d3 preserves total degree, so J is the
+direct sum of its blocks J_t of total degree t, and every pair of total
+degree >= c+2 lies in J, c the class.  Proof: for homogeneous y, w with
+deg y + deg w = t >= c+2, induct on deg w.  If deg w = 1 then
+deg y = t-1 > c and y = 0.  Otherwise w is a sum of brackets [u, x] with
+deg x = 1, and d3(y ^ u ^ x) = [y,u] ^ x + [u,x] ^ y + [x,y] ^ u writes
+y ^ [u, x] mod J as pairs whose second factor has degree 1 or deg w - 1.
+So only the blocks t <= c+1 are reduced, each from the triples of degree
+t, and dim L ^ L = #{pairs of degree <= c+1} - sum_t dim J_t.  The
+residual of a pair mod J is read off the canonical rows of its block:
+minus the row with that pivot, the pivot entry dropped, when the pair is a
+pivot, and the pair itself otherwise.  An ungraded basis runs the same
+code with every degree 0: one block and no cut.
 
-Only [R, F] is built.  By Hopf's formula M(L) = (R cap F^2)/[R, F], and
-the projection pi : F -> L maps F^2 onto L^2 with kernel R cap F^2, so
+Exterior center from the generators.  With x_l the basis of
+minimal_generators(L),
 
-    dim M(L) = dim F^2 - dim L^2 - dim [R, F].
+    Z^(L) = {z : [z, x_l] = 0 and z ^ x_l in J for every l}.
 
-Both invariants bracket with the d free generators x_l only; tests check
-each against a route over the whole cover:
+Z^(L) lies in Z(L), so it is inside the right side.  Conversely, ad z is
+a derivation, so [z, x_l] = 0 for every generator makes z central; for
+central z, d3(a ^ b ^ z) = [a,b] ^ z puts z ^ L^2 inside J, and L is
+span(x_l) + L^2.  That is d*n constraints, not n^2.  When graded, both
+kinds of constraint are homogeneous, so the kernel is taken separately
+for the z of each degree.
 
-* [R, F] is spanned by brackets of R-basis vectors with the d generators
-  alone.  (Induction on Hall-tree degree: [r,[u,v]] = [[r,u],v] + [u,[r,v]]
-  and R is an ideal, so both terms reduce to lower-degree second factors.)
-
-* The exterior center is {z : [s(z), x_l] in [R, F] for every generator x_l},
-  free generators only: [s(z), [a,b]] = [[s(z),a],b] + [a,[s(z),b]] lies in
-  [R, F] by induction on degree, because [R, F] is an ideal inside R.
-
-Choice.  The wedge route costs C(n,3) * C(n,2); the presentation route
-(dim F(d,c+1) - n) * d * dim F(d,c+1), the size of the rows spanning
-[R, F], with the cover's dimension from the Witt formula, so nothing is
-built to decide.  Each route has a size guard, C(n,2) <= DEFAULT_MAX_DIM
-and dim F(d,c+1) <= DEFAULT_MAX_DIM; the cheaper route that fits runs,
-and ResourceError is raised only when neither fits.  The dim-0 and
-nilpotency checks come before either route.  The presentation
-route serves large free-type inputs, where R is small, and is the tests'
-ground-truth oracle for the wedge route.
+Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
+when ungraded), may number at most DEFAULT_MAX_DIM.  F(7,3) needs 1162,
+H(34) 2346, which raises ResourceError before anything is reduced.  The
+dim-0 and nilpotency checks come first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
-from .freelie import (
-    DEFAULT_MAX_DIM,
-    FreeNilpotent,
-    extend_hom,
-    free_dimension,
-    free_nilpotent,
-)
-from .liealg import Hom, LieAlgebra, minimal_generators
+from .freelie import DEFAULT_MAX_DIM
+from .liealg import LieAlgebra, minimal_generators
 from .linalg import (
     Matrix,
     Subspace,
     kernel,
     _span_canonical,
-    reduce_rows,
-    solve_right_inverse,
     subspace_intersect,
     zero_subspace,
 )
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """L presented as F/R with the subspaces the invariants live in."""
-
-    L: LieAlgebra
-    F: FreeNilpotent
-    pi: Hom
-    section: Matrix
-    R: Subspace
-    RF: Subspace
-
-    @property
-    def dim_F(self) -> int:
-        return self.F.dim
-
-    @property
-    def dim_F2(self) -> int:
-        return self.F.dim - self.F.d
 
 
 @dataclass(frozen=True)
@@ -131,157 +99,117 @@ class DDResult(NamedTuple):
 
 
 # ======================================================================
-# free presentations
-# ======================================================================
-
-def free_presentation(L: LieAlgebra) -> Presentation:
-    if L.dim == 0:
-        raise ShapeError("zero algebra has no free presentation here")
-    if not L.is_nilpotent:
-        raise NotNilpotentError("free presentation requires a nilpotent algebra")
-    cached = L._cache.get("presentation")
-    if cached is None:
-        images = [list(r) for r in minimal_generators(L).basis]
-        cached = _present(L, images)
-        L._cache["presentation"] = cached
-    return cached
-
-
-def _present(L: LieAlgebra, images: list) -> Presentation:
-    """L as F/R, with the free generators sent to `images`, which must
-    generate L.  Any generating images give the same invariants; tests
-    pass other choices to check that."""
-    F = free_nilpotent(len(images), max(L.nilpotency_class(), 1) + 1, L.field)
-    pi = extend_hom(F, L, images)
-    R = pi.kernel()
-    if R.dim != F.dim - L.dim:
-        raise ShapeError("presentation map is not onto L "
-                         "(does the table satisfy Jacobi?)")
-    section = solve_right_inverse(pi.matrix)
-    RF = _commutator_with_free(F, R)
-    return Presentation(L=L, F=F, pi=pi, section=section, R=R, RF=RF)
-
-
-def _bracket_with_generators(F: FreeNilpotent, vecs) -> list:
-    """[v, x_l] for each v in `vecs` and each generator l < d, as sparse
-    dicts in that order."""
-    alg = F.algebra
-    one = F.field.one
-    out = []
-    for v in vecs:
-        sv = {i: a for i, a in enumerate(v) if a != 0}
-        out.extend(alg.bracket_sparse(sv, {l: one}) for l in range(F.d))
-    return out
-
-
-def _commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
-    """[R, F] inside the truncated cover, spanned over generators only."""
-    rows = [F.algebra._densify(w)
-            for w in _bracket_with_generators(F, R.basis) if w]
-    return _span_canonical(F.field, F.dim, rows)
-
-
-# ======================================================================
 # the wedge route
 # ======================================================================
 
-def _route(L: LieAlgebra) -> str:
-    """'wedge' or 'presentation', by the cost rule in the module docstring.
+class _Wedge(NamedTuple):
+    """J block by block: `deg` the degrees (all 0 when ungraded), `col`
+    the column of each pair (i, j), i < j, of degree <= c+1 within its
+    block, and `blocks` J_t by total degree t, for each t that has
+    triples."""
 
-    L must be nonzero.  Nilpotency is checked first, and ResourceError is
-    raised, before anything is built, when neither route fits its guard."""
-    if not L.is_nilpotent:
-        raise NotNilpotentError("homology requires a nilpotent algebra")
-    n = L.dim
-    d = n - L.derived_subalgebra().dim
-    c = max(L.nilpotency_class(), 1) + 1
-    cover = free_dimension(d, c)
-    pairs = comb(n, 2)
-    wedge_fits = pairs <= DEFAULT_MAX_DIM
-    cover_fits = cover <= DEFAULT_MAX_DIM
-    if not (wedge_fits or cover_fits):
-        raise ResourceError(
-            f"Lambda^2 L has dimension {pairs} and F({d},{c}) has "
-            f"dimension {cover}, both > guard {DEFAULT_MAX_DIM}")
-    if wedge_fits and (not cover_fits or
-                       comb(n, 3) * pairs <= (cover - n) * d * cover):
-        return "wedge"
-    return "presentation"
+    deg: tuple
+    col: dict
+    blocks: dict
 
 
-def _pair_columns(n: int) -> list:
-    """col[i][j] = col[j][i] = the column of e_i ^ e_j (i < j) among the
-    C(n,2) pairs in lexicographic order."""
-    col = [[0] * n for _ in range(n)]
-    p = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            col[i][j] = col[j][i] = p
-            p += 1
-    return col
-
-
-def _wedge_relations(L: LieAlgebra) -> Subspace:
-    """J = im d3 inside Lambda^2 L, spanned by d3 of the basis triples."""
-    cached = L._cache.get("wedge_relations")
+def _wedge(L: LieAlgebra) -> _Wedge:
+    """J = im d3 in total degree <= c+1, cached on L.  L must be nonzero;
+    nilpotency and the size guard are checked before anything is built."""
+    cached = L._cache.get("wedge")
     if cached is not None:
         return cached
+    if not L.is_nilpotent:
+        raise NotNilpotentError("homology requires a nilpotent algebra")
     f, n = L.field, L.dim
-    npairs = comb(n, 2)
-    col = _pair_columns(n)
-    get = L.table.get
-    rows = []
+    deg = L.degrees() or (0,) * n
+    cut = L.nilpotency_class() + 1
+    col: dict = {}
+    width: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
-            bij = get((i, j), {})
-            for k in range(j + 1, n):
-                bjk, bik = get((j, k), {}), get((i, k), {})
-                if not (bij or bjk or bik):
-                    continue
-                row = [f.zero] * npairs
-                # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
-                # e_t ^ e_m = -(e_m ^ e_t)
-                for br, m, flip in ((bij, k, False), (bjk, i, False),
-                                    (bik, j, True)):
-                    for t, x in br.items():
-                        if t != m:
-                            p = col[t][m]
-                            row[p] = f.add(row[p], f.neg(x)
-                                           if flip != (t > m) else x)
-                rows.append(row)
-    cached = _span_canonical(f, npairs, rows)
-    L._cache["wedge_relations"] = cached
+            t = deg[i] + deg[j]
+            if t <= cut:
+                col[(i, j)] = width.get(t, 0)
+                width[t] = col[(i, j)] + 1
+    if len(col) > DEFAULT_MAX_DIM:
+        raise ResourceError(
+            f"the wedge route would reduce {len(col)} columns of "
+            f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
+    # the triples that meet a table entry, within the cut; index order
+    # need not follow degree
+    order = sorted(range(n), key=deg.__getitem__)
+    sorted_deg = [deg[m] for m in order]
+    triples = set()
+    for a, b in L.table:
+        room = bisect_right(sorted_deg, cut - deg[a] - deg[b])
+        triples.update(tuple(sorted((a, b, m))) for m in order[:room]
+                       if m != a and m != b)
+    get = L.table.get
+    rows: dict = {}
+    for i, j, k in sorted(triples):
+        t = deg[i] + deg[j] + deg[k]
+        row = [f.zero] * width[t]
+        # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
+        # e_s ^ e_m = -(e_m ^ e_s)
+        for br, m, flip in ((get((i, j)), k, False), (get((j, k)), i, False),
+                            (get((i, k)), j, True)):
+            for s, x in (br or {}).items():
+                if s != m:
+                    p = col[(s, m) if s < m else (m, s)]
+                    row[p] = f.add(row[p], f.neg(x) if flip != (s > m) else x)
+        rows.setdefault(t, []).append(row)
+    cached = _Wedge(deg, col, {t: _span_canonical(f, width[t], r)
+                               for t, r in rows.items()})
+    L._cache["wedge"] = cached
     return cached
 
 
 def _exterior_center_wedge(L: LieAlgebra) -> Subspace:
-    """{z : z ^ e_j in J for every j}: one constraint row per (j, column
-    of Lambda^2 L / J), whose entry at t is that column of the residual of
-    e_t ^ e_j mod J."""
+    """Z^(L) from the generators x_l, by the degree of z: one constraint
+    row per (l, column of the residual of z ^ x_l) and per (l, coordinate
+    of [z, x_l])."""
     f, n = L.field, L.dim
-    J = _wedge_relations(L)
-    col = _pair_columns(n)
-    pivot_row = dict(zip(J.pivots, J.basis))
-    residual = []
-    for p in range(comb(n, 2)):
-        row = pivot_row.get(p)
-        if row is None:
-            residual.append({p: f.one})
-        else:
-            residual.append({c: f.neg(x) for c, x in enumerate(row)
-                             if x != 0 and c != p})
-    rows: dict = {}
-    for j in range(n):
-        for t in range(n):
-            if t == j:
-                continue
-            for c, x in residual[col[t][j]].items():
-                if (j, c) not in rows:
-                    rows[(j, c)] = [f.zero] * n
-                rows[(j, c)][t] = x if t < j else f.neg(x)
-    if not rows:
-        return L.full_space()
-    return kernel(Matrix(f, tuple(tuple(r) for r in rows.values()), n))
+    w = _wedge(L)
+    deg = w.deg
+    pivot_row = {t: dict(zip(J.pivots, J.basis)) for t, J in w.blocks.items()}
+    gens = minimal_generators(L).pivots
+    by_degree: dict = {}
+    for t in range(n):
+        by_degree.setdefault(deg[t], []).append(t)
+    found = []  # (pivot, vector) of every Z^ basis vector, all degrees
+    for ts in by_degree.values():
+        rows: dict = {}
+
+        def put(key, a, x):
+            if key not in rows:
+                rows[key] = [f.zero] * len(ts)
+            rows[key][a] = x
+
+        for a, t in enumerate(ts):
+            for l in gens:
+                if l == t:
+                    continue
+                q = w.col[(t, l) if t < l else (l, t)]
+                row = pivot_row.get(deg[t] + deg[l], {}).get(q)
+                if row is None:
+                    put((l, 0, q), a, f.one if t < l else f.neg(f.one))
+                else:
+                    for c, x in enumerate(row):
+                        if x != 0 and c != q:
+                            put((l, 0, c), a, f.neg(x) if t < l else x)
+                for k, x in L.bracket_basis(t, l).items():
+                    put((l, 1, k), a, x)
+        Z = kernel(Matrix(f, tuple(tuple(r) for r in rows.values()),
+                          len(ts)))
+        for p, v in zip(Z.pivots, Z.basis):
+            z = [f.zero] * n
+            for t, x in zip(ts, v):
+                z[t] = x
+            found.append((ts[p], tuple(z)))
+    found.sort()
+    return Subspace(f, n, tuple(z for _, z in found),
+                    tuple(p for p, _ in found))
 
 
 # ======================================================================
@@ -295,10 +223,8 @@ def schur_multiplier_dim(L: LieAlgebra) -> int:
 def exterior_square_dim(L: LieAlgebra) -> int:
     if L.dim == 0:
         return 0
-    if _route(L) == "wedge":
-        return comb(L.dim, 2) - _wedge_relations(L).dim
-    pres = free_presentation(L)
-    return pres.dim_F2 - pres.RF.dim
+    w = _wedge(L)
+    return len(w.col) - sum(J.dim for J in w.blocks.values())
 
 
 def exterior_center(L: LieAlgebra) -> Subspace:
@@ -307,34 +233,9 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         return zero_subspace(L.field, 0)
     cached = L._cache.get("exterior_center")
     if cached is None:
-        if _route(L) == "wedge":
-            cached = _exterior_center_wedge(L)
-        else:
-            cached = _exterior_center_from(free_presentation(L))
+        cached = _exterior_center_wedge(L)
         L._cache["exterior_center"] = cached
     return cached
-
-
-def _exterior_center_from(pres: Presentation) -> Subspace:
-    L, F = pres.L, pres.F
-    n, d = L.dim, F.d
-    lifts = zip(*pres.section.rows)
-    residuals = reduce_rows(pres.RF, [F.algebra._densify(w) for w in
-                                      _bracket_with_generators(F, lifts)])
-    # constraint matrix over z-coordinates: one row per (l, cover coord)
-    zero = L.field.zero
-    rows: dict = {}
-    for i, res in enumerate(residuals):
-        t, l = divmod(i, d)
-        for c, x in enumerate(res):
-            if x != 0:
-                if (l, c) not in rows:
-                    rows[(l, c)] = [zero] * n
-                rows[(l, c)][t] = x
-    if not rows:
-        return L.full_space()
-    return kernel(Matrix(L.field, tuple(tuple(rows[k]) for k in sorted(rows)),
-                         n))
 
 
 def is_capable(L: LieAlgebra) -> bool:

@@ -2,12 +2,42 @@
 
 Everything here is computed by a different route than the package uses, so
 agreement is meaningful evidence rather than a tautology.
+
+The largest is the presentation route: L as F/R with F the free nilpotent
+algebra of class c+1 on d = dim(L/L^2) generators.  Truncating at class c+1
+is harmless: the discarded degrees lie inside [R, F] for any full free
+presentation.  Then M(L) = (R cap F^2)/[R, F] (Hopf), the projection maps
+F^2 onto L^2 with kernel R cap F^2, and
+
+    dim M(L) = dim F^2 - dim L^2 - dim [R, F],
+    dim L ^ L = dim F^2 - dim [R, F],
+    Z^(L) = {z : [s(z), x_l] in [R, F] for every free generator x_l},
+
+s a section of the projection.  [R, F] is spanned by the brackets of
+R's basis with the d generators alone: [r,[u,v]] = [[r,u],v] + [u,[r,v]]
+and R is an ideal, so induction on Hall-tree degree reduces the second
+factor.  The same induction, with [R, F] an ideal inside R, gives the
+exterior center from the generators.  `commutator_full_route` and
+`exterior_center_all_pairs` check both shortcuts against the whole cover.
 """
 
 import itertools
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Sequence
 
-from liecap.linalg import Matrix, kernel, reduce_rows, span
+import numpy as np
+
+from liecap.errors import NotNilpotentError, ShapeError
+from liecap.freelie import FreeNilpotent, free_nilpotent
+from liecap.liealg import Hom, LieAlgebra, minimal_generators
+from liecap.linalg import (
+    Matrix,
+    Subspace,
+    _span_canonical,
+    kernel,
+    rref_rows,
+    span,
+)
 
 
 def lyndon_count(d: int, k: int) -> int:
@@ -50,6 +80,178 @@ def bracket_subspaces_all_pairs(L, a, b):
     brackets."""
     return span(L.field, L.dim, [L.bracket(x, y)
                                  for x in a.basis for y in b.basis])
+
+
+def lower_central_series_loop(L):
+    """(L^1, L^2, ...) down to 0 or to stabilization, each term spanned
+    from dense brackets of the previous one with every basis vector."""
+    full = L.full_space()
+    series = [full]
+    while True:
+        nxt = bracket_subspaces_all_pairs(L, series[-1], full)
+        series.append(nxt)
+        if nxt.dim == series[-2].dim or nxt.is_zero:
+            return tuple(series)
+
+
+# ----------------------------------------------------------------------
+# the presentation route
+# ----------------------------------------------------------------------
+
+def reduce_rows(sub: Subspace, rows: Sequence[Sequence]) -> list:
+    """Residuals of many vectors mod `sub` (batched; numpy over GF(p))."""
+    if not rows:
+        return []
+    f = sub.field
+    if f.is_rationals or sub.is_zero:
+        return [list(sub.reduce(r)) for r in rows]
+    p = f.p
+    R = np.array([list(r) for r in rows], dtype=np.int64) % p
+    B = np.array([list(b) for b in sub.basis], dtype=np.int64)
+    for i, pc in enumerate(sub.pivots):
+        col = R[:, pc].copy()
+        nz = np.flatnonzero(col)
+        if nz.size:
+            R[nz] = (R[nz] - np.outer(col[nz], B[i])) % p
+    return [[int(x) for x in row] for row in R]
+
+
+def solve_right_inverse(m: Matrix) -> Matrix:
+    """A section s with m . s = identity (m must have full row rank).
+
+    Found by reducing [m | I]: if U m is the RREF with pivot columns P, then
+    s(e_k) = sum_i U[i][k] e_{P_i}.
+    """
+    f = m.field
+    nr, nc = m.nrows, m.ncols
+    aug = [list(row) + [f.one if i == j else f.zero for j in range(nr)]
+           for i, row in enumerate(m.rows)]
+    reduced, pivots = rref_rows(f, aug)
+    pivots = [p for p in pivots if p < nc]
+    if len(pivots) != nr:
+        raise ShapeError("matrix does not have full row rank")
+    section = [(f.zero,) * nr] * nc
+    for i, p in enumerate(pivots):
+        section[p] = tuple(reduced[i][nc:])
+    return Matrix(f, tuple(section), nr)
+
+
+def extend_hom(F: FreeNilpotent, target: LieAlgebra,
+               images: Sequence[Sequence]) -> Hom:
+    """The unique homomorphism F -> target sending generator l to images[l].
+
+    Requires target nilpotent of class <= c (then the assignment extends by
+    evaluating each Hall tree in the target).
+    """
+    if len(images) != F.d:
+        raise ShapeError(f"need {F.d} generator images, got {len(images)}")
+    if target.field != F.field:
+        raise ShapeError("field mismatch between free algebra and target")
+    if not target.is_nilpotent or target.nilpotency_class() > F.c:
+        raise NotNilpotentError(
+            f"target must be nilpotent of class <= {F.c}")
+    img: list = []
+    for l in range(F.d):
+        v = tuple(F.field.coerce(x) for x in images[l])
+        if len(v) != target.dim:
+            raise ShapeError("generator image has wrong length")
+        img.append(v)
+    for idx in range(F.d, F.dim):
+        t = F.trees[idx]
+        li, ri = F.index[t[0]], F.index[t[1]]
+        img.append(target.bracket(img[li], img[ri]))
+    matrix = Matrix(F.field, tuple(zip(*img)), F.dim)
+    return Hom(F.algebra, target, matrix)
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """L presented as F/R with the subspaces the invariants live in."""
+
+    L: LieAlgebra
+    F: FreeNilpotent
+    pi: Hom
+    section: Matrix
+    R: Subspace
+    RF: Subspace
+
+    @property
+    def dim_F(self) -> int:
+        return self.F.dim
+
+    @property
+    def dim_F2(self) -> int:
+        return self.F.dim - self.F.d
+
+
+def free_presentation(L: LieAlgebra) -> Presentation:
+    """The presentation on the minimal generators, cached on L."""
+    if L.dim == 0:
+        raise ShapeError("zero algebra has no free presentation here")
+    if not L.is_nilpotent:
+        raise NotNilpotentError("free presentation requires a nilpotent algebra")
+    cached = L._cache.get("presentation")
+    if cached is None:
+        images = [list(r) for r in minimal_generators(L).basis]
+        cached = present(L, images)
+        L._cache["presentation"] = cached
+    return cached
+
+
+def present(L: LieAlgebra, images: list) -> Presentation:
+    """L as F/R, with the free generators sent to `images`, which must
+    generate L.  Any generating images give the same invariants."""
+    F = free_nilpotent(len(images), max(L.nilpotency_class(), 1) + 1, L.field)
+    pi = extend_hom(F, L, images)
+    R = pi.kernel()
+    if R.dim != F.dim - L.dim:
+        raise ShapeError("presentation map is not onto L "
+                         "(does the table satisfy Jacobi?)")
+    section = solve_right_inverse(pi.matrix)
+    RF = commutator_with_free(F, R)
+    return Presentation(L=L, F=F, pi=pi, section=section, R=R, RF=RF)
+
+
+def bracket_with_generators(F: FreeNilpotent, vecs) -> list:
+    """[v, x_l] for each v in `vecs` and each generator l < d, as sparse
+    dicts in that order."""
+    alg = F.algebra
+    one = F.field.one
+    out = []
+    for v in vecs:
+        sv = {i: a for i, a in enumerate(v) if a != 0}
+        out.extend(alg.bracket_sparse(sv, {l: one}) for l in range(F.d))
+    return out
+
+
+def commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
+    """[R, F] inside the truncated cover, spanned over generators only."""
+    rows = [F.algebra._densify(w)
+            for w in bracket_with_generators(F, R.basis) if w]
+    return _span_canonical(F.field, F.dim, rows)
+
+
+def exterior_center_from(pres: Presentation) -> Subspace:
+    """{z : [s(z), x_l] in [R, F] for every free generator x_l}."""
+    L, F = pres.L, pres.F
+    n, d = L.dim, F.d
+    lifts = zip(*pres.section.rows)
+    residuals = reduce_rows(pres.RF, [F.algebra._densify(w) for w in
+                                      bracket_with_generators(F, lifts)])
+    # constraint matrix over z-coordinates: one row per (l, cover coord)
+    zero = L.field.zero
+    rows: dict = {}
+    for i, res in enumerate(residuals):
+        t, l = divmod(i, d)
+        for c, x in enumerate(res):
+            if x != 0:
+                if (l, c) not in rows:
+                    rows[(l, c)] = [zero] * n
+                rows[(l, c)][t] = x
+    if not rows:
+        return L.full_space()
+    return kernel(Matrix(L.field, tuple(tuple(rows[k]) for k in sorted(rows)),
+                         n))
 
 
 def commutator_full_route(F, R):

@@ -6,7 +6,6 @@ from liecap import GF2, GF3, QQ
 from liecap.errors import NotNilpotentError, ResourceError, ShapeError
 from liecap.catalog import build
 from liecap.freelie import (
-    extend_hom,
     free_dimension,
     free_nilpotent,
     hall_basis,
@@ -15,7 +14,7 @@ from liecap.freelie import (
     witt_dimension,
 )
 
-from oracles import lyndon_count
+from oracles import extend_hom, lyndon_count
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +143,7 @@ def test_shape_guard_rejects_degenerate_parameters():
 
 
 # ----------------------------------------------------------------------
-# the universal property
+# the universal property: extend_hom, from the presentation oracle
 # ----------------------------------------------------------------------
 
 def test_extension_to_heisenberg_is_invertible():

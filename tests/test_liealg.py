@@ -18,7 +18,11 @@ from liecap.liealg import (
 from liecap.linalg import zero_subspace
 from liecap.catalog import build, standard_instances
 
-from oracles import bracket_subspaces_all_pairs, jacobi_violations_all_triples
+from oracles import (
+    bracket_subspaces_all_pairs,
+    jacobi_violations_all_triples,
+    lower_central_series_loop,
+)
 
 FIELDS = (QQ, GF2, GF3, GF5)
 
@@ -203,6 +207,30 @@ def test_lower_series_six_dim_class_three():
     L = build("L6_10", GF3)
     assert [s.dim for s in L.lower_central_series()] == [6, 2, 1, 0]
     assert L.nilpotency_class() == 3
+
+
+def test_degrees_none_when_the_table_is_not_standard_graded():
+    for f in FIELDS:
+        # x5 = [x1,x3] = [x2,x4] gets degrees 3 and 2
+        assert build("L5_5", f).degrees() is None
+        # e2 = [e1,e2] needs its own degree first
+        assert _solvable_2dim(f).degrees() is None
+        # e3 and e4 get degree 2, but L^2 = <e3 + e4> is not V_{>=2}
+        L = LieAlgebra(f, 4, {(0, 1): {2: f.one, 3: f.one}})
+        assert L.derived_subalgebra().dim == 1
+        assert L.degrees() is None
+        assert [s.dim for s in L.lower_central_series()] == [4, 1, 0]
+
+
+def test_degrees_of_abelian_sums_on_either_side():
+    for f in FIELDS:
+        L = build("L4_3", f)  # [x1,x2]=x3, [x1,x3]=x4
+        assert L.degrees() == (1, 1, 2, 3)
+        assert direct_sum(abelian(f, 2), L).degrees() == (1, 1, 1, 1, 2, 3)
+        assert direct_sum(L, abelian(f, 2)).degrees() == (1, 1, 2, 3, 1, 1)
+        for M in (direct_sum(L, abelian(f, 2)), abelian(f, 3), abelian(f, 0)):
+            assert M.lower_central_series() == \
+                lower_central_series_loop(M), (f, M.name)
 
 
 def test_center_heisenberg():

@@ -17,12 +17,12 @@ from liecap.linalg import (
     coordinate_subspace,
     extend_to_complement,
     full_subspace,
-    reduce_rows,
-    solve_right_inverse,
     subspace_intersect,
     subspace_sum,
     zero_subspace,
 )
+
+from oracles import reduce_rows, solve_right_inverse
 
 
 def _enumerate(sub):

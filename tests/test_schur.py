@@ -1,13 +1,15 @@
 """Multiplier, exterior square, and exterior center, by the wedge route
-(Lambda^2 L / im d3) and by free presentations.
+(Lambda^2 L / im d3), with free presentations as the oracle.
 
-The presentation route is the ground-truth oracle for the wedge route:
-both are compared by exact equality of dim M, dim L^L and the canonical
-exterior-center basis on the catalog, its abelian sums, the class-3 stem
-products, sampled algebras and generated F(d,c)/W.  Property tests check
-that a change of basis and a direct sum move the invariants as they must.
+The presentation route in `oracles` is the ground-truth oracle for the
+wedge route: both are compared by exact equality of dim M, dim L^L and the
+canonical exterior-center basis on the catalog, its abelian sums on either
+side, the class-3 stem products, sampled algebras, generated F(d,c)/W,
+rebased algebras and graded algebras whose index order does not follow
+degree.  Property tests check that a change of basis and a direct sum move
+the invariants as they must.
 
-The presentation route has independent in-suite oracles too: `commutator_full_route`
+The presentation oracle has independent in-suite oracles too: `commutator_full_route`
 recomputes the commutator subspace by bracketing R with the whole Hall
 basis, and `exterior_center_all_pairs` recomputes the exterior center by
 bracketing every pair of lifted basis vectors, where the package brackets
@@ -38,7 +40,7 @@ from liecap.classify import (
     class3_stem_products,
     plus_abelian,
 )
-from liecap.freelie import free_nilpotent
+from liecap.freelie import DEFAULT_MAX_DIM, free_dimension, free_nilpotent
 from liecap.liealg import (
     LieAlgebra,
     abelian,
@@ -50,21 +52,15 @@ from liecap.linalg import (
     Matrix,
     coordinate_subspace,
     kernel,
-    solve_right_inverse,
     subspace_intersect,
     zero_subspace,
 )
 from liecap import linalg, schur
 from liecap.schur import (
-    _exterior_center_from,
-    _exterior_center_wedge,
-    _present,
-    _route,
-    _wedge_relations,
+    _wedge,
     epicenter_test_dd,
     exterior_center,
     exterior_square_dim,
-    free_presentation,
     homology,
     is_capable,
     schur_multiplier_dim,
@@ -74,7 +70,12 @@ from oracles import (
     brute_force_multiplier_dim_abelian,
     commutator_full_route,
     exterior_center_all_pairs,
+    exterior_center_from,
+    free_presentation,
+    lower_central_series_loop,
     lyndon_count,
+    present,
+    solve_right_inverse,
 )
 
 
@@ -273,7 +274,7 @@ def test_generator_exterior_center_agrees_with_all_pairs():
                       for s in range(20)]
     for L in cases:
         pres = free_presentation(L)
-        assert (_exterior_center_from(pres).basis
+        assert (exterior_center_from(pres).basis
                 == exterior_center_all_pairs(pres).basis), (L.field, L.name)
 
 
@@ -304,7 +305,7 @@ def _top_degree_quotients(draw):
 @given(_top_degree_quotients())
 def test_exterior_invariants_on_generated_algebras(L):
     pres = free_presentation(L)
-    zc = _exterior_center_from(pres)
+    zc = exterior_center_from(pres)
     assert zc.basis == exterior_center_all_pairs(pres).basis
     derived = L.derived_subalgebra()
     assert subspace_intersect(L.center(), derived).contains_subspace(zc)
@@ -332,7 +333,8 @@ def assert_canonical(m):
 
 def test_library_built_matrices_are_canonical(monkeypatch):
     # every matrix handed to kernel(): the exterior-center constraints, the
-    # centers and the upper central series
+    # centers and the upper central series; and the presentation oracle's
+    # projection and section
     handed = []
 
     def recording(m):
@@ -347,11 +349,12 @@ def test_library_built_matrices_are_canonical(monkeypatch):
         cases += standard_instances(f)
         for L in cases:
             pres = free_presentation(L)
-            handed.clear()
-            _exterior_center_from(pres)
-            assert handed, (f, L.name)
-            # a fresh copy, so its center and series are computed here
+            # a fresh copy, so its exterior center, center and series are
+            # computed here
             copy = LieAlgebra(f, L.dim, L.table, name=L.name)
+            handed.clear()
+            exterior_center(copy)
+            assert handed, (f, L.name)
             copy.upper_central_series()
             built = [pres.pi.matrix, pres.section,
                      copy.quotient(copy.center())[1].matrix,
@@ -366,14 +369,14 @@ def test_library_built_matrices_are_canonical(monkeypatch):
 
 def both_routes(L):
     """(dim L^L, dim M, Z^ basis, Z^ pivots) from the wedge route and from
-    the presentation on the minimal generators (`free_presentation` is
-    `_present(L, images)` for those images, cached on L)."""
+    the presentation oracle on the minimal generators (`free_presentation`
+    is `present(L, images)` for those images, cached on L)."""
     der = L.derived_subalgebra().dim
-    ext = comb(L.dim, 2) - _wedge_relations(L).dim
-    zc = _exterior_center_wedge(L)
+    zc = exterior_center(L)
     pres = free_presentation(L)
-    zp = _exterior_center_from(pres)
-    return ((ext, ext - der, zc.basis, zc.pivots),
+    zp = exterior_center_from(pres)
+    return ((exterior_square_dim(L), schur_multiplier_dim(L), zc.basis,
+             zc.pivots),
             (pres.dim_F2 - pres.RF.dim, pres.dim_F2 - der - pres.RF.dim,
              zp.basis, zp.pivots))
 
@@ -383,6 +386,7 @@ def test_wedge_route_agrees_with_presentation():
     for f in (QQ, GF2, GF3, GF5):
         for L in standard_instances(f):
             cases += [plus_abelian(L, k) for k in range(3)]
+            cases.append(direct_sum(abelian(f, 2), L))
         cases += list(class3_stem_products(f))
         if not f.is_rationals:
             cases += [random_gen_heisenberg(7, 2, f, seed=s)
@@ -393,12 +397,16 @@ def test_wedge_route_agrees_with_presentation():
 
 
 # ----------------------------------------------------------------------
-# route choice and the input boundary
+# the degree cut and the input boundary
 # ----------------------------------------------------------------------
 
-def test_route_is_presentation_for_free_algebras():
-    for d, c, f in ((7, 3, GF2), (5, 3, QQ), (4, 4, GF3), (3, 5, QQ)):
-        assert _route(free_nilpotent(d, c, f).algebra) == "presentation"
+def test_degree_cut_taken_for_hall_bases():
+    # pairs of total degree <= c+1, against C(n,2) without the cut
+    for d, c, f, cols in ((7, 3, GF2, 1162), (5, 3, QQ, 305),
+                          (4, 4, GF3, 485), (3, 5, QQ, 343)):
+        F = free_nilpotent(d, c, f)
+        assert F.algebra.degrees() == F.degrees
+        assert len(_wedge(F.algebra).col) == cols < comb(F.dim, 2)
 
 
 def test_free_algebra_homology_against_lyndon_counts():
@@ -406,8 +414,9 @@ def test_free_algebra_homology_against_lyndon_counts():
     # is capable, and dim F^2 counts the Lyndon words of length 2..c
     for f in (QQ, GF2, GF3):
         for d, c in ((2, 3), (3, 3), (2, 4), (3, 4)):
-            L = free_nilpotent(d, c, f).algebra
-            assert _route(L) == "presentation"
+            F = free_nilpotent(d, c, f)
+            L = F.algebra
+            assert L.degrees() == F.degrees
             h = homology(L)
             dim_F2 = sum(lyndon_count(d, k) for k in range(2, c + 1))
             assert h.dim_M == lyndon_count(d, c + 1), (f, d, c)
@@ -415,14 +424,21 @@ def test_free_algebra_homology_against_lyndon_counts():
             assert h.exterior_center.is_zero, (f, d, c)
 
 
-def test_route_is_wedge_for_catalog_sums():
+def test_degree_cut_taken_for_catalog_sums_not_for_l5_5():
+    # L5_5: [x1,x3] = x5 and [x2,x4] = x5 give x5 degrees 3 and 2
     for f in (QQ, GF2, GF3, GF5):
         for L in standard_instances(f):
-            if L.derived_subalgebra().dim > 2:
-                continue
+            graded = L.name not in ("L5_5", "L6_10", "L6_13")
             for k in range(3):
-                Lk = direct_sum(L, abelian(f, k)) if k else L
-                assert _route(Lk) == "wedge", (f, Lk.name)
+                for Lk in (plus_abelian(L, k), direct_sum(abelian(f, k), L)):
+                    deg = Lk.degrees()
+                    assert (deg is not None) == graded, (f, Lk.name)
+                    # ungraded: every pair, as one block
+                    deg = deg or (0,) * Lk.dim
+                    cut = Lk.nilpotency_class() + 1
+                    assert len(_wedge(Lk).col) == sum(
+                        1 for i in range(Lk.dim) for j in range(i)
+                        if deg[i] + deg[j] <= cut), (f, Lk.name)
 
 
 def test_product_plus_abelian_past_the_cover_guard():
@@ -441,6 +457,7 @@ def test_product_plus_abelian_past_the_cover_guard():
 
 def test_non_nilpotent_rejected_by_every_invariant():
     S = LieAlgebra(QQ, 2, {(0, 1): {1: Fraction(1)}})
+    assert S.degrees() is None
     for fn in (homology, schur_multiplier_dim, exterior_square_dim,
                exterior_center):
         with pytest.raises(NotNilpotentError):
@@ -448,19 +465,21 @@ def test_non_nilpotent_rejected_by_every_invariant():
 
 
 def test_resource_error_when_neither_route_fits(monkeypatch):
-    # H(34): n = 69, C(69, 2) = 2346 and dim F(68, 3) both > 2000
-    def built(*args):
-        pytest.fail("a route was started past both guards")
+    # H(34): n = 69 and c = 2, so the wedge route would reduce the
+    # C(68, 2) + 68 = 2346 pairs of degree <= 3, and the presentation
+    # oracle's cover F(68, 3) is larger still; both are > 2000
+    def reduced(*args):
+        pytest.fail("J was reduced past the guard")
 
-    monkeypatch.setattr(schur, "_wedge_relations", built)
-    monkeypatch.setattr(schur, "free_presentation", built)
+    monkeypatch.setattr(schur, "_span_canonical", reduced)
     L = build("H", QQ, m=34)
     assert L.dim == 69
+    assert free_dimension(68, 3) > DEFAULT_MAX_DIM
     for fn in (homology, schur_multiplier_dim, exterior_square_dim,
                exterior_center):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match="reduce 2346 columns"):
             fn(L)
-    assert "wedge_relations" not in L._cache
+    assert "wedge" not in L._cache
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +533,44 @@ def test_invariants_survive_a_change_of_basis(case):
     assert moved == b.exterior_center
 
 
+def _permuted(L, perm):
+    """L with e_i renumbered perm[i]."""
+    neg = L.field.neg
+    brackets = {}
+    for (i, j), entry in L.table.items():
+        a, b = perm[i], perm[j]
+        out = {perm[k]: x for k, x in entry.items()}
+        brackets[(min(a, b), max(a, b))] = (
+            out if a < b else {k: neg(x) for k, x in out.items()})
+    return LieAlgebra(L.field, L.dim, brackets, name=f"{L.name}~")
+
+
+@st.composite
+def _shuffled_graded(draw):
+    """A standard-graded algebra whose index order does not follow degree:
+    a graded catalog algebra or an F(d,c)/W, with A(k) on either side,
+    on a permuted basis."""
+    L = draw(st.one_of(
+        st.sampled_from([QQ, GF2, GF3]).flatmap(lambda f: st.sampled_from(
+            [A for A in standard_instances(f) if A.degrees() is not None])),
+        _top_degree_quotients()))
+    k = draw(st.integers(0, 2))
+    A = abelian(L.field, k)
+    L = draw(st.sampled_from([direct_sum(L, A), direct_sum(A, L)]))
+    return _permuted(L, draw(st.permutations(range(L.dim))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_top_degree_quotients(), _rebased().map(lambda c: c[2]),
+                 _shuffled_graded()))
+def test_degree_cut_matches_the_oracles(L):
+    # the series read off the degrees against brackets, and the blocks of J
+    # and the generator constraints against the presentation oracle
+    assert L.lower_central_series() == lower_central_series_loop(L)
+    wedge, presented = both_routes(L)
+    assert wedge == presented
+
+
 @st.composite
 def _catalog_pairs(draw):
     f = draw(st.sampled_from([QQ, GF2, GF3]))
@@ -562,7 +619,7 @@ def section_choices(L):
     if der:
         shifted = [[L.field.add(a, b) for a, b in zip(row, der[l % len(der)])]
                    for l, row in enumerate(base)]
-    return [_present(L, images) for images in (base, base[::-1], shifted)]
+    return [present(L, images) for images in (base, base[::-1], shifted)]
 
 
 def test_invariants_do_not_depend_on_the_section():
@@ -573,7 +630,7 @@ def test_invariants_do_not_depend_on_the_section():
             dims = {p.dim_F2 - L.derived_subalgebra().dim - p.RF.dim
                     for p in choices}
             assert len(dims) == 1, (f, name)
-            centers = {_exterior_center_from(p).basis for p in choices}
+            centers = {exterior_center_from(p).basis for p in choices}
             assert len(centers) == 1, (f, name)
 
 

@@ -3,7 +3,7 @@ the bundled verification suite.
 
 capability_structural decides capability from coarse invariants alone
 (derived dimension, class, center codimension, stem dimension) and never
-consults the presentation machinery, with one deliberate exception: the
+consults the homology machinery, with one deliberate exception: the
 class-2 stem of dimension 7, where the two candidate algebras share every
 coarse invariant and differ exactly by capability, is delegated to the
 exterior-center ground truth.
@@ -75,7 +75,7 @@ class Fingerprint:
     is_maximal_class: bool
 
     def structural_key(self) -> tuple:
-        """The sub-tuple that avoids presentation-based invariants."""
+        """The sub-tuple that avoids the homology invariants."""
         return (self.field, self.dim, self.nilpotency_class,
                 self.lower_dims, self.upper_dims, self.dim_center,
                 self.dim_derived, self.is_stem, self.gen_heisenberg_rank,

@@ -1,7 +1,7 @@
 """Dense exact linear algebra: RREF, kernels, and canonical subspaces.
 
-Everything downstream (series, quotients, presentations, homology) reduces to
-row reduction over the declared field.  Subspaces are stored only in
+Everything downstream (series, quotients, homology) reduces to row
+reduction over the declared field.  Subspaces are stored only in
 reduced-row-echelon canonical form, so subspace equality is structural
 equality of the stored rows.
 

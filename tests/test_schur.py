@@ -9,12 +9,12 @@ rebased algebras and graded algebras whose index order does not follow
 degree.  Property tests check that a change of basis and a direct sum move
 the invariants as they must.
 
-The presentation oracle has independent in-suite oracles too: `commutator_full_route`
-recomputes the commutator subspace by bracketing R with the whole Hall
-basis, and `exterior_center_all_pairs` recomputes the exterior center by
-bracketing every pair of lifted basis vectors, where the package brackets
-with the free generators only; R cap F^2, which the multiplier formula never
-builds, is intersected here and checked against dim F^2 - dim L^2; and
+The presentation oracle has independent in-suite oracles too:
+`commutator_full_route` recomputes the commutator subspace by bracketing R
+with the whole Hall basis, and `exterior_center_all_pairs` recomputes the
+exterior center by bracketing every pair of lifted basis vectors, where
+the oracle brackets with the free generators only; R cap F^2, which the
+multiplier formula never builds, is intersected here and checked against dim F^2 - dim L^2; and
 presentations built from reordered or L^2-shifted generator images change
 the chosen section, which the reported invariants must not see.  A
 property test compares the exterior center with the all-pairs oracle on

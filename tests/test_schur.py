@@ -14,11 +14,11 @@ The presentation oracle has independent in-suite oracles too:
 with the whole Hall basis, and `exterior_center_all_pairs` recomputes the
 exterior center by bracketing every pair of lifted basis vectors, where
 the oracle brackets with the free generators only; R cap F^2, which the
-multiplier formula never builds, is intersected here and checked against dim F^2 - dim L^2; and
-presentations built from reordered or L^2-shifted generator images change
-the chosen section, which the reported invariants must not see.  A
-property test compares the exterior center with the all-pairs oracle on
-generated algebras F(d,c)/W.
+multiplier formula never builds, is intersected here and checked against
+dim F^2 - dim L^2; and presentations built from reordered or L^2-shifted
+generator images change the chosen section, which the reported invariants
+must not see.  A property test compares the exterior center with the
+all-pairs oracle on generated algebras F(d,c)/W.
 """
 
 import pytest

@@ -8,6 +8,14 @@ class-2 stem of dimension 7, where the two candidate algebras share every
 coarse invariant and differ exactly by capability, is delegated to the
 exterior-center ground truth.
 
+The class-2 rule reads the stem dimension off the center.  Nilpotent L is
+T (+) A(k), T a stem (Z(T) inside T^2) as stem_decompose builds it.  In
+class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A(k) and
+t = dim T = codim Z(L) + 2 when dim L^2 = 2.  The dim-7 ground truth is
+asked of L: for k >= 1, Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for a
+in A(k) puts the T-part of z in T^2; z ^ x = 0 for x in T kills its
+A-part, as T != T^2), and Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
+
 verify_paper cross-checks the structural rules against the ground truth
 on the whole catalog and on randomized samples, and returns a
 deterministic pass/fail report.
@@ -24,13 +32,7 @@ from . import catalog, schur
 from .errors import NotNilpotentError, ScopeError
 from .field import GF2, QQ, FieldSpec
 from .freelie import free_nilpotent, hall_basis, tree_degree, witt_dimension
-from .liealg import (
-    LieAlgebra,
-    abelian,
-    central_product,
-    direct_sum,
-    stem_decompose,
-)
+from .liealg import LieAlgebra, abelian, central_product, direct_sum
 from .linalg import Subspace, span, subspace_intersect, zero_subspace
 
 # enumerated decision-rule tags for Verdict.rule
@@ -182,8 +184,7 @@ def capability_structural(L: LieAlgebra) -> Verdict:
         )
 
     # class 2 with 2-dimensional derived subalgebra: decide on the stem part
-    sd = stem_decompose(L)
-    t = sd.T.dim
+    t = codim + 2
     k = L.dim - t
     if t < 5:
         raise ScopeError(
@@ -196,7 +197,7 @@ def capability_structural(L: LieAlgebra) -> Verdict:
         return Verdict(True, RULE_CLASS2_STEM_DIM,
                        _with_tail(base, k), f"stem dimension {t}")
     if t == 7:
-        capable = schur.is_capable(sd.T)
+        capable = schur.is_capable(L)
         base = "L27A" if capable else "L27B"
         return Verdict(capable, RULE_CLASS2_DIM7_GROUND_TRUTH,
                        _with_tail(base, k),

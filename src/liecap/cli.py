@@ -87,7 +87,8 @@ def algebra_from_doc(data) -> LieAlgebra:
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: expected an object")
         i, j = entry.get("i"), entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (i, j)):
             raise ValueError(f"{where}: i and j must be integers")
         if not (1 <= i < j <= dim):
             raise ValueError(
@@ -102,6 +103,7 @@ def algebra_from_doc(data) -> LieAlgebra:
             spot = f"{where}.out[{u}]"
             if (not isinstance(item, list) or len(item) != 2
                     or not isinstance(item[0], int)
+                    or isinstance(item[0], bool)
                     or not isinstance(item[1], str)):
                 raise ValueError(f"{spot}: expected [index, \"coeff\"]")
             k, coeff = item

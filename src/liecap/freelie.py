@@ -213,14 +213,13 @@ class FreeNilpotent:
 
 
 @lru_cache(maxsize=None)
-def free_nilpotent(d: int, c: int, field: FieldSpec,
-                   max_dim: int = DEFAULT_MAX_DIM) -> FreeNilpotent:
+def free_nilpotent(d: int, c: int, field: FieldSpec) -> FreeNilpotent:
     if d < 1 or c < 1:
         raise ShapeError("free_nilpotent needs d >= 1, c >= 1")
     total = free_dimension(d, c)
-    if total > max_dim:
+    if total > DEFAULT_MAX_DIM:
         raise ResourceError(
-            f"F({d},{c}) has dimension {total} > guard {max_dim}")
+            f"F({d},{c}) has dimension {total} > guard {DEFAULT_MAX_DIM}")
     trees, index, degrees, _children, ztable = _hall_data(d, c)
     brackets = {
         pair: {k: field.coerce(v) for k, v in entry.items()}

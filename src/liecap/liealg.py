@@ -177,12 +177,21 @@ class LieAlgebra:
         return self._cache["derived"]
 
     def center(self) -> Subspace:
-        """Kernel of v -> ([v, e_j])_j, assembled from the sparse table."""
-        if "center" in self._cache:
-            return self._cache["center"]
+        """Z(L), the kernel of v -> ([v, e_j])_j."""
+        if "center" not in self._cache:
+            self._cache["center"] = self._center_mod(
+                linalg.zero_subspace(self.field, self.dim))
+        return self._cache["center"]
+
+    def _center_mod(self, z: Subspace) -> Subspace:
+        """{v : [v, e_j] in z for every j}, the kernel of v -> ([v, e_j] mod
+        z)_j assembled from the table, one residual per table entry."""
         f, n = self.field, self.dim
         rows: dict = {}
         for (i, j), entry in self.table.items():
+            if z.basis:
+                entry = {t: c for t, c in
+                         enumerate(z.reduce(self._densify(entry))) if c != 0}
             for t, c in entry.items():
                 key = (j, t)
                 if key not in rows:
@@ -192,13 +201,10 @@ class LieAlgebra:
                 if key not in rows:
                     rows[key] = [f.zero] * n
                 rows[key][j] = f.sub(rows[key][j], c)
-        if rows:
-            z = linalg.kernel(
-                Matrix(f, tuple(tuple(rows[k]) for k in sorted(rows)), n))
-        else:
-            z = self.full_space()
-        self._cache["center"] = z
-        return z
+        if not rows:
+            return self.full_space()
+        return linalg.kernel(
+            Matrix(f, tuple(tuple(rows[k]) for k in sorted(rows)), n))
 
     def degrees(self) -> Optional[tuple]:
         """The degree of each basis vector when the basis is standard-graded,
@@ -258,25 +264,17 @@ class LieAlgebra:
         return len(series) - 1 if self.dim else 0
 
     def upper_central_series(self) -> tuple:
-        """(Z_0 = 0, Z_1 = Z(L), ...) up to L or to stabilization."""
+        """(Z_0 = 0, Z_1 = Z(L), ...) up to L or to stabilization, with
+        Z_{i+1} = {v : [v, L] in Z_i}."""
         if "ucs" in self._cache:
             return self._cache["ucs"]
         series = [linalg.zero_subspace(self.field, self.dim)]
-        while True:
+        while series[-1].dim < self.dim:
             zi = series[-1]
-            if zi.dim == self.dim:
-                break
-            quot, proj = self.quotient(zi)
-            zq = quot.center()
-            # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
-            # Z(Q) vanishes
-            cols = [zq.reduce(proj.column(k)) for k in range(self.dim)]
-            m = Matrix(self.field, tuple(zip(*cols)), self.dim)
-            nxt = linalg.kernel(m) if quot.dim else self.full_space()
-            if nxt.dim == zi.dim:
-                series.append(nxt)  # stabilized below L: not nilpotent
-                break
+            nxt = self._center_mod(zi) if zi.basis else self.center()
             series.append(nxt)
+            if nxt.dim == zi.dim:
+                break  # stabilized below L: not nilpotent
         self._cache["ucs"] = tuple(series)
         return self._cache["ucs"]
 
@@ -459,7 +457,8 @@ class StemDecomposition:
 def minimal_generators(L: LieAlgebra) -> Subspace:
     """Canonical complement of L^2: standard vectors at its non-pivot
     coordinates.  Spans a minimal generating set for nilpotent L."""
-    return linalg.complement_in(L.derived_subalgebra(), L.full_space())
+    return linalg.coordinate_subspace(L.field, L.dim, set(range(L.dim))
+                                      - set(L.derived_subalgebra().pivots))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str = "") -> LieAlgebra:

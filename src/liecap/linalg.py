@@ -32,14 +32,6 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 # ======================================================================
-# vectors
-# ======================================================================
-
-def is_zero_vector(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
-
-
-# ======================================================================
 # Matrix
 # ======================================================================
 
@@ -258,7 +250,7 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(self.reduce(v))
+        return all(x == 0 for x in self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_mate(other)
@@ -268,16 +260,9 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Vector:
         """Coordinates of v in the canonical basis (v must lie in the span)."""
-        coords = tuple(v[p] for p in self.pivots)
-        # constraint the caller relies on: v really is in the span
-        f = self.field
-        check = list(v)
-        for c, row in zip(coords, self.basis):
-            if c != 0:
-                check = [f.sub(a, f.mul(c, b)) for a, b in zip(check, row)]
-        if not is_zero_vector(check):
+        if not self.contains(v):
             raise ShapeError("vector not in subspace")
-        return coords
+        return tuple(v[p] for p in self.pivots)
 
     def _check_mate(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -392,26 +377,27 @@ def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
 
 
 def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
-    """Smallest-index-greedy complement of `avoid` containing `seed`.
+    """Smallest-index-greedy complement of `avoid` containing `seed`: seed
+    and the e_k that, tried in index order, enlarge span(seed + avoid + the
+    e_j kept so far).  Requires seed and avoid independent.
 
-    Requires seed and avoid independent.  Standard basis vectors are tried in
-    index order and kept when they enlarge span(seed + avoid + picked).
+    With W = seed + avoid, each earlier e_j is kept or already in the span,
+    so e_k is kept exactly when e_k is not in W + span(e_j : j < k), that
+    is, when no vector of W has its last nonzero coordinate at k.  In W
+    reduced with its columns reversed, a nonzero combination of echelon rows
+    starts at the least pivot of the rows it uses, so those last coordinates
+    are the reversed pivots.  One reduction finds every e_k kept, and a
+    second puts seed and them in canonical form.
     """
     seed._check_mate(avoid)
     n = seed.ambient_dim
     f = seed.field
-    if subspace_sum(seed, avoid).dim != seed.dim + avoid.dim:
+    _, pivots = rref_rows(f, [row[::-1] for row in seed.basis + avoid.basis])
+    if len(pivots) != seed.dim + avoid.dim:
         raise ShapeError("extend_to_complement: seed meets avoid")
-    picked: list[Vector] = []
-    current = _span_canonical(f, n, list(seed.basis) + list(avoid.basis))
-    for k in range(n):
-        if current.dim == n:
-            break
-        e = tuple(f.one if j == k else f.zero for j in range(n))
-        if not current.contains(e):
-            picked.append(e)
-            current = _span_canonical(f, n, list(current.basis) + [e])
-    result = _span_canonical(f, n, list(seed.basis) + picked)
+    last = {n - 1 - p for p in pivots}
+    picked = coordinate_subspace(f, n, set(range(n)) - last).basis
+    result = _span_canonical(f, n, seed.basis + picked)
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result

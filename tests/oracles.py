@@ -37,6 +37,8 @@ from liecap.linalg import (
     kernel,
     rref_rows,
     span,
+    subspace_sum,
+    zero_subspace,
 )
 
 
@@ -92,6 +94,55 @@ def lower_central_series_loop(L):
         series.append(nxt)
         if nxt.dim == series[-2].dim or nxt.is_zero:
             return tuple(series)
+
+
+def upper_central_series_by_quotients(L):
+    """(Z_0 = 0, Z_1 = Z(L), ...) up to L or to stabilization, with
+    Z_{i+1} the preimage of the center of the quotient algebra L/Z_i under
+    its projection."""
+    series = [zero_subspace(L.field, L.dim)]
+    while True:
+        zi = series[-1]
+        if zi.dim == L.dim:
+            break
+        quot, proj = L.quotient(zi)
+        zq = quot.center()
+        # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
+        # Z(Q) vanishes
+        cols = [zq.reduce(proj.column(k)) for k in range(L.dim)]
+        m = Matrix(L.field, tuple(zip(*cols)), L.dim)
+        nxt = kernel(m) if quot.dim else L.full_space()
+        if nxt.dim == zi.dim:
+            series.append(nxt)  # stabilized below L: not nilpotent
+            break
+        series.append(nxt)
+    return tuple(series)
+
+
+def extend_to_complement_greedy(seed: Subspace, avoid: Subspace) -> Subspace:
+    """Smallest-index-greedy complement of `avoid` containing `seed`.
+
+    Requires seed and avoid independent.  Standard basis vectors are tried in
+    index order and kept when they enlarge span(seed + avoid + picked).
+    """
+    seed._check_mate(avoid)
+    n = seed.ambient_dim
+    f = seed.field
+    if subspace_sum(seed, avoid).dim != seed.dim + avoid.dim:
+        raise ShapeError("extend_to_complement: seed meets avoid")
+    picked = []
+    current = _span_canonical(f, n, list(seed.basis) + list(avoid.basis))
+    for k in range(n):
+        if current.dim == n:
+            break
+        e = tuple(f.one if j == k else f.zero for j in range(n))
+        if not current.contains(e):
+            picked.append(e)
+            current = _span_canonical(f, n, list(current.basis) + [e])
+    result = _span_canonical(f, n, list(seed.basis) + picked)
+    if result.dim != n - avoid.dim:
+        raise ShapeError("extend_to_complement: complement has wrong dimension")
+    return result
 
 
 # ----------------------------------------------------------------------

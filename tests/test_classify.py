@@ -1,11 +1,13 @@
 """Structural capability rules, fingerprints, and the verification suite."""
 
+import re
+
 import pytest
 from fractions import Fraction
 
 from liecap import GF2, GF3, GF5, QQ
 from liecap.errors import NotNilpotentError, ScopeError
-from liecap.catalog import build, standard_instances
+from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
     ALL_RULES,
     RULE_ABELIAN,
@@ -19,7 +21,13 @@ from liecap.classify import (
     plus_abelian,
     verify_paper,
 )
-from liecap.liealg import LieAlgebra, abelian, central_product, direct_sum
+from liecap.liealg import (
+    LieAlgebra,
+    abelian,
+    central_product,
+    direct_sum,
+    stem_decompose,
+)
 from liecap.schur import is_capable
 
 
@@ -96,6 +104,38 @@ def test_dim8_rank2_stem_is_non_capable_both_routes():
     v = capability_structural(L)
     assert not v.capable and v.rule == RULE_CLASS2_STEM_DIM
     assert not is_capable(L)
+
+
+def _class2_rank2_cases():
+    """Catalog class-2 algebras with dim L^2 = 2 plus A(0..3) on either
+    side, over four fields, and 50 sampled dim-7 stems per finite field
+    with A(s mod 3) on alternating sides."""
+    for f in (QQ, GF2, GF3, GF5):
+        for base in standard_instances(f):
+            if (base.derived_subalgebra().dim != 2
+                    or base.nilpotency_class() != 2):
+                continue
+            for k in range(4):
+                yield plus_abelian(base, k)
+                yield direct_sum(abelian(f, k), base)
+    for f in (GF2, GF3, GF5):
+        for s in range(50):
+            L = random_gen_heisenberg(7, 2, f, seed=s)
+            A = abelian(f, s % 3)
+            yield direct_sum(L, A) if s % 2 else direct_sum(A, L)
+
+
+def test_class2_stem_dimension_is_the_stem_decompositions():
+    dims = set()
+    for L in _class2_rank2_cases():
+        v = capability_structural(L)
+        T = stem_decompose(L).T
+        assert re.match(r"stem dimension (\d+)", v.detail)[1] \
+            == str(T.dim), (L.field, L.name)
+        if T.dim == 7:
+            assert v.capable == is_capable(T), (L.field, L.name)
+        dims.add(T.dim)
+    assert dims == {5, 6, 7}
 
 
 def test_scope_guard_for_larger_derived_subalgebra():

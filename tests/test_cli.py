@@ -118,6 +118,9 @@ def test_round_trip_preserves_algebra(tmp_path):
     lambda d: d["brackets"].append({"i": 3, "j": 4, "out": [[2, 1]]}),
     lambda d: d["brackets"][0].update(out=[[3, "1"], [3, "1"]]),
     lambda d: d["brackets"][0].pop("out"),
+    lambda d: d["brackets"][0].update(i=True),
+    lambda d: d["brackets"][0].update(j=True),
+    lambda d: d["brackets"].append({"i": 2, "j": 3, "out": [[True, "1"]]}),
 ])
 def test_malformed_documents_exit_one(tmp_path, mutate):
     doc = doc_of(emit(tmp_path, "L4_3"))

@@ -3,6 +3,7 @@ homology computations rely on."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,24 @@ from hypothesis import given, settings, strategies as st
 from liecap import (
     GF2, GF3, GF5, QQ, FieldSpec, Matrix, Subspace, kernel, span,
 )
+from liecap import linalg
 from liecap.errors import ShapeError
 from liecap.linalg import (
     complement_in,
     coordinate_subspace,
     extend_to_complement,
     full_subspace,
+    rref_rows,
     subspace_intersect,
     subspace_sum,
     zero_subspace,
 )
 
-from oracles import reduce_rows, solve_right_inverse
+from oracles import (
+    extend_to_complement_greedy,
+    reduce_rows,
+    solve_right_inverse,
+)
 
 
 def _enumerate(sub):
@@ -281,6 +288,57 @@ def test_extend_to_complement_disjoint_and_covering():
         assert ext.contains_subspace(seed)
         assert subspace_intersect(ext, avoid).dim == 0
         assert ext.dim + avoid.dim == 4
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """(seed, avoid) in K^n, n in 1..7, each spanned by up to n random
+    rows with many zero entries, so that some pairs meet."""
+    f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    n = draw(st.integers(1, 7))
+    if f.is_rationals:
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    else:
+        entry = st.one_of(st.just(0), st.integers(0, f.p - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return tuple(span(f, n, draw(st.lists(row, max_size=n)))
+                 for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_subspace_pairs())
+def test_extend_to_complement_matches_the_greedy_oracle(pair):
+    seed, avoid = pair
+    try:
+        want = extend_to_complement_greedy(seed, avoid)
+    except ShapeError as exc:
+        with pytest.raises(ShapeError, match=f"^{re.escape(str(exc))}$"):
+            extend_to_complement(seed, avoid)
+        return
+    got = extend_to_complement(seed, avoid)
+    assert got.pivots == want.pivots
+    assert repr(got.basis) == repr(want.basis)
+
+
+def test_extend_to_complement_reduces_at_most_twice(monkeypatch):
+    rng = random.Random(53)
+    cases = []
+    for f in (QQ, GF3):
+        seed = _random_subspace(f, 20, rng, max_rows=4)
+        avoid = span(f, 20, [[f.random_scalar(rng) if j % 3 == 0 else 0
+                              for j in range(20)] for _ in range(3)])
+        cases.append((seed, avoid, extend_to_complement_greedy(seed, avoid)))
+    calls = []
+
+    def counting(field, rows):
+        calls.append(field)
+        return rref_rows(field, rows)
+
+    monkeypatch.setattr(linalg, "rref_rows", counting)
+    for seed, avoid, want in cases:
+        calls.clear()
+        assert extend_to_complement(seed, avoid) == want
+        assert len(calls) <= 2
 
 
 # ----------------------------------------------------------------------

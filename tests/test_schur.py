@@ -18,7 +18,11 @@ multiplier formula never builds, is intersected here and checked against
 dim F^2 - dim L^2; and presentations built from reordered or L^2-shifted
 generator images change the chosen section, which the reported invariants
 must not see.  A property test compares the exterior center with the
-all-pairs oracle on generated algebras F(d,c)/W.
+all-pairs oracle on generated algebras F(d,c)/W.  The same generators,
+with catalog algebras plus A(k) on either side, check the center, the
+upper central series and the minimal generators against the routes the
+package used before they were read off one reduction: quotient algebras
+for the series, and `complement_in` for the generators.
 """
 
 import pytest
@@ -50,6 +54,7 @@ from liecap.liealg import (
 )
 from liecap.linalg import (
     Matrix,
+    complement_in,
     coordinate_subspace,
     kernel,
     subspace_intersect,
@@ -76,6 +81,7 @@ from oracles import (
     lyndon_count,
     present,
     solve_right_inverse,
+    upper_central_series_by_quotients,
 )
 
 
@@ -569,6 +575,27 @@ def test_degree_cut_matches_the_oracles(L):
     assert L.lower_central_series() == lower_central_series_loop(L)
     wedge, presented = both_routes(L)
     assert wedge == presented
+
+
+@st.composite
+def _abelian_sums(draw):
+    """A catalog algebra with A(k), k <= 2, on either side."""
+    f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    L = draw(st.sampled_from(standard_instances(f)))
+    A = abelian(f, draw(st.integers(0, 2)))
+    return draw(st.sampled_from([direct_sum(L, A), direct_sum(A, L)]))
+
+
+@example(LieAlgebra(QQ, 2, {(0, 1): {1: QQ.one}}))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_abelian_sums(), _rebased().map(lambda c: c[2]),
+                 _top_degree_quotients()))
+def test_upper_series_and_generators_match_the_oracles(L):
+    ucs = L.upper_central_series()
+    assert ucs == upper_central_series_by_quotients(L), (L.field, L.name)
+    assert L.center() == (ucs[1] if L.dim else ucs[0])
+    assert minimal_generators(L) == complement_in(
+        L.derived_subalgebra(), L.full_space())
 
 
 @st.composite

@@ -11,10 +11,12 @@ exterior-center ground truth.
 The class-2 rule reads the stem dimension off the center.  Nilpotent L is
 T (+) A(k), T a stem (Z(T) inside T^2) as stem_decompose builds it.  In
 class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A(k) and
-t = dim T = codim Z(L) + 2 when dim L^2 = 2.  The dim-7 ground truth is
-asked of L: for k >= 1, Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for a
-in A(k) puts the T-part of z in T^2; z ^ x = 0 for x in T kills its
-A-part, as T != T^2), and Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
+t = dim T = codim Z(L) + 2 when dim L^2 = 2.  Only t = 7 builds T: the
+ground truth is asked of the 7-dimensional stem, whose exterior square
+does not grow with k as that of L does.  T decides for L: for k >= 1,
+Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for a in A(k) puts the T-part
+of z in T^2; z ^ x = 0 for x in T kills its A-part, as T != T^2), and
+Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
 
 verify_paper cross-checks the structural rules against the ground truth
 on the whole catalog and on randomized samples, and returns a
@@ -32,7 +34,8 @@ from . import catalog, schur
 from .errors import NotNilpotentError, ScopeError
 from .field import GF2, QQ, FieldSpec
 from .freelie import free_nilpotent, hall_basis, tree_degree, witt_dimension
-from .liealg import LieAlgebra, abelian, central_product, direct_sum
+from .liealg import (LieAlgebra, abelian, central_product, direct_sum,
+                     stem_decompose)
 from .linalg import Subspace, span, subspace_intersect, zero_subspace
 
 # enumerated decision-rule tags for Verdict.rule
@@ -197,7 +200,7 @@ def capability_structural(L: LieAlgebra) -> Verdict:
         return Verdict(True, RULE_CLASS2_STEM_DIM,
                        _with_tail(base, k), f"stem dimension {t}")
     if t == 7:
-        capable = schur.is_capable(L)
+        capable = schur.is_capable(stem_decompose(L).T)
         base = "L27A" if capable else "L27B"
         return Verdict(capable, RULE_CLASS2_DIM7_GROUND_TRUTH,
                        _with_tail(base, k),

@@ -260,6 +260,7 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Vector:
         """Coordinates of v in the canonical basis (v must lie in the span)."""
+        v = [self.field.coerce(x) for x in v]
         if not self.contains(v):
             raise ShapeError("vector not in subspace")
         return tuple(v[p] for p in self.pivots)

@@ -108,8 +108,9 @@ def test_dim8_rank2_stem_is_non_capable_both_routes():
 
 def _class2_rank2_cases():
     """Catalog class-2 algebras with dim L^2 = 2 plus A(0..3) on either
-    side, over four fields, and 50 sampled dim-7 stems per finite field
-    with A(s mod 3) on alternating sides."""
+    side, over four fields, 50 sampled dim-7 stems per finite field with
+    A(s mod 3) on alternating sides, and L27A, L27B with A(60), whose
+    exterior square is past the wedge route's size guard."""
     for f in (QQ, GF2, GF3, GF5):
         for base in standard_instances(f):
             if (base.derived_subalgebra().dim != 2
@@ -123,6 +124,10 @@ def _class2_rank2_cases():
             L = random_gen_heisenberg(7, 2, f, seed=s)
             A = abelian(f, s % 3)
             yield direct_sum(L, A) if s % 2 else direct_sum(A, L)
+    for f in (QQ, GF2):
+        for base in ("L27A", "L27B"):
+            yield plus_abelian(build(base, f), 60)
+            yield direct_sum(abelian(f, 60), build(base, f))
 
 
 def test_class2_stem_dimension_is_the_stem_decompositions():

@@ -114,12 +114,18 @@ def test_coordinates_reconstruct_vector():
                 for k, x in enumerate(row):
                     v[k] = f.add(v[k], f.mul(c, x))
             assert s.coordinates(v) == tuple(coeffs)
+    # raw GF(2) entries count mod 2
+    s = span(GF2, 2, [[1, 0]])
+    assert s.coordinates([1, 2]) == (1,)
+    assert s.coordinates([3, 0]) == (1,)
 
 
 def test_coordinates_rejects_outside_vector():
     s = span(QQ, 3, [[1, 0, 0]])
     with pytest.raises(ShapeError):
         s.coordinates([0, 1, 0])
+    with pytest.raises(ShapeError):
+        span(GF2, 2, [[1, 0]]).coordinates([1, 3])
 
 
 # ----------------------------------------------------------------------

@@ -116,12 +116,8 @@ def build(name: str, field: FieldSpec, n: Optional[int] = None,
         return _validated(LieAlgebra(
             field, 6, table, name=f"L6_7_2(eta={field.format(e)})"))
 
-    dim = _DIMS[name]
-    table = {
-        pair: {k: field.coerce(v) for k, v in entry.items()}
-        for pair, entry in _one_tables(name).items()
-    }
-    return _validated(LieAlgebra(field, dim, table, name=name))
+    return _validated(LieAlgebra(field, _DIMS[name], _one_tables(name),
+                                 name=name))
 
 
 def _validated(L: LieAlgebra) -> LieAlgebra:
@@ -194,9 +190,7 @@ def random_gen_heisenberg(dim: int, rank: int, field: FieldSpec,
             continue
         if L.center().dim != rank:
             continue
-        profile = L.structural_profile()
-        if not (L.validate().ok and profile.is_stem
-                and profile.gen_heisenberg_rank == rank):
+        if not (L.validate().ok and L.derived_subalgebra() == L.center()):
             raise ShapeError(f"sampler built an invalid {L.name}")
         return L
     raise ResourceError(

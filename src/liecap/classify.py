@@ -53,6 +53,8 @@ ALL_RULES = (
     RULE_CLASS2_DIM7_GROUND_TRUTH,
 )
 
+RANDOM_HEISENBERG_SAMPLES = 200  # dim-7 samples per field in verify_paper
+
 
 # ======================================================================
 # fingerprints
@@ -88,14 +90,11 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
-    cached = L._cache.get("fingerprint")
-    if cached is not None:
-        return cached
     profile = L.structural_profile()
     if not profile.is_nilpotent:
         raise NotNilpotentError("fingerprint requires a nilpotent algebra")
     report = schur.homology(L)
-    fp = Fingerprint(
+    return Fingerprint(
         field=str(L.field),
         dim=L.dim,
         nilpotency_class=profile.nilpotency_class,
@@ -112,8 +111,6 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         gen_heisenberg_rank=profile.gen_heisenberg_rank,
         is_maximal_class=profile.is_maximal_class,
     )
-    L._cache["fingerprint"] = fp
-    return fp
 
 
 # ======================================================================
@@ -332,8 +329,8 @@ def _rand_central_line(L: LieAlgebra, rng: random.Random) -> Optional[Subspace]:
     return span(f, L.dim, [vec])
 
 
-def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2), seed: int = 0,
-                 samples: int = 200) -> VerificationReport:
+def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2),
+                 seed: int = 0) -> VerificationReport:
     fields = tuple(fields)
     report = VerificationReport([str(f) for f in fields], seed)
     for f in fields:
@@ -354,7 +351,7 @@ def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2), seed: int = 0,
         _check_agreement(report, f)
     for f in fields:
         if not f.is_rationals:
-            _check_random_heisenberg(report, f, seed, samples)
+            _check_random_heisenberg(report, f, seed)
     for f in fields:
         _check_homology_identities(report, f)
     return report
@@ -652,7 +649,7 @@ def _check_agreement(report: VerificationReport, f: FieldSpec) -> None:
 
 
 def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
-                             seed: int, samples: int) -> None:
+                             seed: int) -> None:
     lab = str(f)
     sec = "random_heisenberg"
     ref_a = catalog.build("L27A", f)
@@ -667,7 +664,7 @@ def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
                 "cap_A": cap_a, "cap_B": cap_b},
                cap_a and not cap_b and m_a != m_b)
     match_a = match_b = bad = 0
-    for s in range(samples):
+    for s in range(RANDOM_HEISENBERG_SAMPLES):
         L = catalog.random_gen_heisenberg(7, 2, f, seed + s)
         m = schur.schur_multiplier_dim(L)
         cap = schur.is_capable(L)
@@ -680,7 +677,7 @@ def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
     report.add(sec, f"{lab}/samples",
                "every sampled pair (dim M, capable) matches a reference, "
                "capability tracking the capable reference",
-               {"samples": samples, "match_A": match_a,
+               {"samples": RANDOM_HEISENBERG_SAMPLES, "match_A": match_a,
                 "match_B": match_b, "violations": bad}, bad == 0)
 
 

@@ -221,11 +221,7 @@ def free_nilpotent(d: int, c: int, field: FieldSpec) -> FreeNilpotent:
         raise ResourceError(
             f"F({d},{c}) has dimension {total} > guard {DEFAULT_MAX_DIM}")
     trees, index, degrees, _children, ztable = _hall_data(d, c)
-    brackets = {
-        pair: {k: field.coerce(v) for k, v in entry.items()}
-        for pair, entry in ztable.items()
-    }
-    alg = LieAlgebra(field, total, brackets, name=f"F({d},{c})")
+    alg = LieAlgebra(field, total, ztable, name=f"F({d},{c})")
     return FreeNilpotent(d=d, c=c, field=field, algebra=alg,
                          trees=trees, degrees=degrees, index=dict(index))
 

@@ -155,11 +155,6 @@ class LieAlgebra:
         if a.ambient_dim != self.dim:
             raise ShapeError("subspace ambient does not match algebra dim")
         n = self.dim
-        full_a = a.dim == n
-        full_b = b.dim == n
-        if full_a and full_b:
-            rows = [self._densify(sv) for sv in self.table.values()]
-            return linalg._span_canonical(self.field, n, rows)
         sb = [{j: c for j, c in enumerate(y) if c != 0} for y in b.basis]
         rows = []
         for x in a.basis:
@@ -171,9 +166,11 @@ class LieAlgebra:
         return linalg._span_canonical(self.field, n, rows)
 
     def derived_subalgebra(self) -> Subspace:
+        """L^2, the span of the table's values."""
         if "derived" not in self._cache:
-            full = self.full_space()
-            self._cache["derived"] = self.bracket_subspaces(full, full)
+            self._cache["derived"] = linalg._span_canonical(
+                self.field, self.dim,
+                [self._densify(sv) for sv in self.table.values()])
         return self._cache["derived"]
 
     def center(self) -> Subspace:
@@ -201,8 +198,6 @@ class LieAlgebra:
                 if key not in rows:
                     rows[key] = [f.zero] * n
                 rows[key][j] = f.sub(rows[key][j], c)
-        if not rows:
-            return self.full_space()
         return linalg.kernel(
             Matrix(f, tuple(tuple(rows[k]) for k in sorted(rows)), n))
 
@@ -238,16 +233,14 @@ class LieAlgebra:
                 f, n, [i for i in range(n) if deg[i] >= k])
                 for k in range(1, max(deg, default=1) + 2)]
         else:
-            full = self.full_space()
-            series = [full]
+            series = [self.full_space()]
+            nxt = self.derived_subalgebra()
             while True:
-                nxt = self.bracket_subspaces(series[-1], full)
-                if nxt.dim == series[-1].dim:
-                    series.append(nxt)  # stabilized (nonzero unless zero)
-                    break
+                stable = nxt.dim == series[-1].dim  # nonzero unless L = 0
                 series.append(nxt)
-                if nxt.is_zero:
+                if stable or nxt.is_zero:
                     break
+                nxt = self.bracket_subspaces(nxt, series[0])
         self._cache["lcs"] = tuple(series)
         return self._cache["lcs"]
 
@@ -302,18 +295,21 @@ class LieAlgebra:
 
     def quotient(self, ideal: Subspace) -> tuple:
         """(L/I, projection Hom).  Basis: standard vectors at I's non-pivot
-        coordinates, in index order (the canonical complement rule)."""
+        coordinates, in index order (the canonical complement rule).  The
+        projection's column k is e_k at a kept k; at a pivot k it is minus
+        I's row with pivot k, read at the kept coordinates."""
         if ideal.ambient_dim != self.dim or ideal.field != self.field:
             raise ShapeError("ideal lives in the wrong space")
         for row in ideal.basis:
             srow = {i: c for i, c in enumerate(row) if c != 0}
             for j in range(self.dim):
                 img = self.bracket_sparse(srow, {j: self.field.one})
-                if img and not ideal.contains(self._densify(img)):
+                if img and any(ideal.reduce(self._densify(img))):
                     raise NotIdealError(
                         f"subspace is not an ideal (fails at basis {j})")
         f = self.field
-        keep = [k for k in range(self.dim) if k not in set(ideal.pivots)]
+        row_of = dict(zip(ideal.pivots, ideal.basis))
+        keep = [k for k in range(self.dim) if k not in row_of]
         pos = {k: a for a, k in enumerate(keep)}
         m = len(keep)
         brackets: dict = {}
@@ -329,9 +325,10 @@ class LieAlgebra:
                     brackets[(a, b)] = entry
         quot = LieAlgebra(f, m, brackets,
                           name=f"{self.name}/I" if self.name else "")
-        cols = [ideal.reduce(self.basis_vector(k)) for k in range(self.dim)]
-        matrix = Matrix(f, tuple(tuple(cols[k][t] for k in range(self.dim))
-                                 for t in keep), self.dim)
+        matrix = Matrix(f, tuple(
+            tuple(f.neg(row_of[k][t]) if k in row_of
+                  else f.one if k == t else f.zero for k in range(self.dim))
+            for t in keep), self.dim)
         return quot, Hom(self, quot, matrix)
 
     def subalgebra_on(self, space: Subspace) -> "LieAlgebra":

@@ -105,7 +105,7 @@ def _rref_int(work: list) -> list:
     (the caller rescales into the field).
     """
     nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
+    ncols = len(work[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -158,17 +158,12 @@ def _rref_q(rows: Iterable[Sequence]) -> tuple[list, list[int]]:
     for i, c in enumerate(pivots):
         pv = work[i][c]
         out.append([Fraction(x, pv) if x else zero for x in work[i]])
-    nzero = len(work) - len(pivots)
-    width = len(work[0]) if work else 0
-    out.extend([zero] * width for _ in range(nzero))
     return out, pivots
 
 
 def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
     """RREF over GF(p) via numpy.  Returns (canonical int rows, pivots)."""
     A = np.array(rows, dtype=np.int64)
-    if A.ndim == 1:
-        A = A.reshape((0, 0))
     nrows, ncols = A.shape
     A %= p
     pivots: list[int] = []
@@ -192,11 +187,12 @@ def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
             A[nzr] = (A[nzr] - np.outer(col[nzr], A[r])) % p
         pivots.append(c)
         r += 1
-    return A.tolist(), pivots
+    return A[:r].tolist(), pivots
 
 
 def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[int]]:
-    """Canonical RREF of raw rows; returns (rows incl. zero rows, pivots)."""
+    """Canonical RREF of raw rows: (the nonzero canonical rows, their
+    pivots), one row per pivot."""
     rows = list(rows)
     if not rows:
         return [], []
@@ -250,18 +246,19 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        """Membership of v, its entries coerced into the field first."""
+        return not any(self.reduce([self.field.coerce(x) for x in v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_mate(other)
         if not set(other.pivots) <= set(self.pivots):
             return False
-        return all(self.contains(row) for row in other.basis)
+        return not any(any(self.reduce(row)) for row in other.basis)
 
     def coordinates(self, v: Sequence) -> Vector:
         """Coordinates of v in the canonical basis (v must lie in the span)."""
         v = [self.field.coerce(x) for x in v]
-        if not self.contains(v):
+        if any(self.reduce(v)):
             raise ShapeError("vector not in subspace")
         return tuple(v[p] for p in self.pivots)
 
@@ -287,8 +284,8 @@ def _span_canonical(field: FieldSpec, ambient_dim: int,
     in `field` and every row of length `ambient_dim`, so nothing is coerced
     or checked again."""
     reduced, pivots = rref_rows(field, rows)
-    basis = tuple(tuple(r) for r in reduced[: len(pivots)])
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+    return Subspace(field, ambient_dim, tuple(map(tuple, reduced)),
+                    tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, n: int) -> Subspace:
@@ -354,12 +351,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     zero = [f.zero] * n
     stacked = [list(row) + list(row) for row in a.basis]
     stacked += [list(row) + zero for row in b.basis]
-    reduced, pivots = rref_rows(f, stacked)
-    rows = []
-    for r in reduced[: len(pivots)]:
-        if all(x == 0 for x in r[:n]):
-            rows.append(r[n:])
-    return _span_canonical(f, n, rows)
+    reduced, _ = rref_rows(f, stacked)
+    return _span_canonical(f, n, [r[n:] for r in reduced if not any(r[:n])])
 
 
 def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:

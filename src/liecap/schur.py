@@ -41,14 +41,15 @@ kinds of constraint are homogeneous, so the kernel is taken separately
 for the z of each degree.
 
 Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
-when ungraded), may number at most DEFAULT_MAX_DIM.  F(7,3) needs 1162,
-H(34) 2346, which raises ResourceError before anything is reduced.  The
-dim-0 and nilpotency checks come first.
+when ungraded), may number at most DEFAULT_MAX_DIM: F(7,3) needs 1162,
+H(34) 2346.  They are counted from the degrees' histogram, before any pair
+is listed.  The dim-0 and nilpotency checks come first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +61,6 @@ from .linalg import (
     Subspace,
     kernel,
     _span_canonical,
-    subspace_intersect,
     zero_subspace,
 )
 
@@ -124,6 +124,14 @@ def _wedge(L: LieAlgebra) -> _Wedge:
     f, n = L.field, L.dim
     deg = L.degrees() or (0,) * n
     cut = L.nilpotency_class() + 1
+    count = Counter(deg)
+    ncols = sum(count[a] * count[b] for a in count for b in count
+                if a < b and a + b <= cut)
+    ncols += sum(m * (m - 1) // 2 for a, m in count.items() if 2 * a <= cut)
+    if ncols > DEFAULT_MAX_DIM:
+        raise ResourceError(
+            f"the wedge route would reduce {ncols} columns of "
+            f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
     col: dict = {}
     width: dict = {}
     for i in range(n):
@@ -132,10 +140,6 @@ def _wedge(L: LieAlgebra) -> _Wedge:
             if t <= cut:
                 col[(i, j)] = width.get(t, 0)
                 width[t] = col[(i, j)] + 1
-    if len(col) > DEFAULT_MAX_DIM:
-        raise ResourceError(
-            f"the wedge route would reduce {len(col)} columns of "
-            f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
     # the triples that meet a table entry, within the cut; index order
     # need not follow degree
     order = sorted(range(n), key=deg.__getitem__)
@@ -244,24 +248,21 @@ def is_capable(L: LieAlgebra) -> bool:
 
 
 def homology(L: LieAlgebra) -> HomologyReport:
-    cached = L._cache.get("homology") if L.dim else None
-    if cached is not None:
-        return cached
     zc = exterior_center(L)
-    report = HomologyReport(
+    return HomologyReport(
         dim_M=schur_multiplier_dim(L),
         dim_exterior_square=exterior_square_dim(L),
         exterior_center=zc,
         capable=zc.is_zero,
     )
-    if L.dim:
-        L._cache["homology"] = report
-    return report
 
 
 def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     """Compare dim M(L) with dim M(L/I) - dim(L^2 cap I) for a central
-    ideal I, and report whether I sits inside the exterior center."""
+    ideal I, and report whether I sits inside the exterior center.  The
+    projection maps L^2 onto (L/I)^2 with kernel L^2 cap I, so the right
+    side is dim (L/I)^(L/I) - dim (L/I)^2 - (dim L^2 - dim (L/I)^2),
+    that is dim (L/I)^(L/I) - dim L^2."""
     if I.ambient_dim != L.dim:
         raise ShapeError("ideal lives in the wrong space")
     if not L.center().contains_subspace(I):
@@ -270,7 +271,6 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     if I.is_zero:
         return DDResult(lhs=lhs, rhs=lhs, contained=True)
     quotient_alg, _ = L.quotient(I)
-    overlap = subspace_intersect(L.derived_subalgebra(), I).dim
-    rhs = schur_multiplier_dim(quotient_alg) - overlap
+    rhs = exterior_square_dim(quotient_alg) - L.derived_subalgebra().dim
     contained = exterior_center(L).contains_subspace(I)
     return DDResult(lhs=lhs, rhs=rhs, contained=contained)

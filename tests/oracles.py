@@ -27,9 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from liecap.errors import NotNilpotentError, ShapeError
+from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
 from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import Hom, LieAlgebra, minimal_generators
+from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
 from liecap.linalg import (
     Matrix,
     Subspace,
@@ -37,6 +38,7 @@ from liecap.linalg import (
     kernel,
     rref_rows,
     span,
+    subspace_intersect,
     subspace_sum,
     zero_subspace,
 )
@@ -117,6 +119,40 @@ def upper_central_series_by_quotients(L):
             break
         series.append(nxt)
     return tuple(series)
+
+
+def quotient_projection_by_reduction(L, ideal) -> Matrix:
+    """The matrix of the projection L -> L/I, each e_k reduced mod I and
+    read at I's non-pivot coordinates, after the same ideal check as
+    `LieAlgebra.quotient`."""
+    for row in ideal.basis:
+        srow = {i: c for i, c in enumerate(row) if c != 0}
+        for j in range(L.dim):
+            img = L.bracket_sparse(srow, {j: L.field.one})
+            if img and not ideal.contains(L._densify(img)):
+                raise NotIdealError(
+                    f"subspace is not an ideal (fails at basis {j})")
+    keep = [k for k in range(L.dim) if k not in set(ideal.pivots)]
+    cols = [ideal.reduce(L.basis_vector(k)) for k in range(L.dim)]
+    return Matrix(L.field, tuple(tuple(cols[k][t] for k in range(L.dim))
+                                 for t in keep), L.dim)
+
+
+def epicenter_test_dd_by_intersection(L, I) -> DDResult:
+    """The central-ideal bound with its right side dim M(L/I) -
+    dim(L^2 cap I), L^2 cap I formed by Zassenhaus intersection."""
+    if I.ambient_dim != L.dim:
+        raise ShapeError("ideal lives in the wrong space")
+    if not L.center().contains_subspace(I):
+        raise NotIdealError("ideal is not central")
+    lhs = schur_multiplier_dim(L)
+    if I.is_zero:
+        return DDResult(lhs=lhs, rhs=lhs, contained=True)
+    quotient_alg, _ = L.quotient(I)
+    overlap = subspace_intersect(L.derived_subalgebra(), I).dim
+    rhs = schur_multiplier_dim(quotient_alg) - overlap
+    contained = exterior_center(L).contains_subspace(I)
+    return DDResult(lhs=lhs, rhs=rhs, contained=contained)
 
 
 def extend_to_complement_greedy(seed: Subspace, avoid: Subspace) -> Subspace:

@@ -200,9 +200,9 @@ def test_fingerprint_matches_across_isomorphic_presentations():
     assert fingerprint(prod) == fingerprint(build("H", QQ, m=2))
 
 
-def test_fingerprint_is_cached():
+def test_fingerprint_is_repeatable():
     L = build("L5_5", GF2)
-    assert fingerprint(L) is fingerprint(L)
+    assert fingerprint(L) == fingerprint(L)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +248,7 @@ def test_agreement_on_catalog_sample_gf2():
 # ----------------------------------------------------------------------
 
 def test_verification_suite_reduced_run_passes():
-    rep = verify_paper(fields=(GF2,), seed=0, samples=5)
+    rep = verify_paper(fields=(GF2,), seed=0)
     assert rep.all_passed
     total, failed = rep.counts
     assert failed == 0 and total > 40
@@ -256,12 +256,12 @@ def test_verification_suite_reduced_run_passes():
     assert any("unicentral" in i for i in ids)
     assert any("L6_7_2" in i for i in ids)
     # deterministic ordering
-    rep2 = verify_paper(fields=(GF2,), seed=0, samples=5)
+    rep2 = verify_paper(fields=(GF2,), seed=0)
     assert [c.check_id for cs in rep2.sections.values() for c in cs] == ids
 
 
 def test_verification_report_serialization():
-    rep = verify_paper(fields=(GF2,), seed=0, samples=5)
+    rep = verify_paper(fields=(GF2,), seed=0)
     js = rep.to_json()
     assert js["all_passed"] is True
     assert js["failed_checks"] == 0

@@ -6,6 +6,7 @@ subprocess to pin down interpreter-level behavior.
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -334,9 +335,16 @@ def test_verify_paper_full_run_passes(tmp_path, capsys):
 # subprocess smoke tests
 # ----------------------------------------------------------------------
 
+# the child interpreter imports the liecap these tests import, installed
+# or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(liecap.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "liecap.cli", *args],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
 
 
 def test_subprocess_catalog_list():
@@ -364,7 +372,7 @@ def test_subprocess_jacobi_violation_exits_two(tmp_path, command, optimize):
     path.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, *optimize, "-m", "liecap.cli", command, str(path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 2
     assert proc.stdout == ("jacobi: violated at the following "
                            "(i, j, k) triples:\n  (1, 2, 3)\n")

@@ -76,6 +76,15 @@ def test_rref_gf2_full_rank():
     assert s.basis == ((1, 0), (0, 1))
 
 
+def test_rref_rows_returns_one_row_per_pivot():
+    rows = [[1, 2, 0], [2, 4, 0], [0, 0, 0], [0, 0, 1], [1, 2, 1]]
+    for f in (QQ, GF3):
+        reduced, pivots = rref_rows(
+            f, [[f.coerce(x) for x in row] for row in rows])
+        assert pivots == [0, 2]
+        assert reduced == [[1, 2, 0], [0, 0, 1]]
+
+
 def test_rref_canonical_under_row_shuffle():
     rng = random.Random(7)
     for f in (QQ, GF2, GF3, GF5):
@@ -99,6 +108,10 @@ def test_membership_matches_enumeration_gf3():
         vecs = _enumerate(s)
         for v in itertools.product(range(3), repeat=3):
             assert s.contains(v) == (v in vecs)
+    # raw entries count mod p
+    assert zero_subspace(GF2, 2).contains((2, 0))
+    assert span(GF2, 2, [[1, 0]]).contains((1, 2))
+    assert span(GF3, 2, [[1, 0]]).contains((4, 3))
 
 
 def test_coordinates_reconstruct_vector():
@@ -118,6 +131,7 @@ def test_coordinates_reconstruct_vector():
     s = span(GF2, 2, [[1, 0]])
     assert s.coordinates([1, 2]) == (1,)
     assert s.coordinates([3, 0]) == (1,)
+    assert span(GF3, 2, [[1, 0]]).coordinates((4, 3)) == (1,)
 
 
 def test_coordinates_rejects_outside_vector():

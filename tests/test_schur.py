@@ -22,16 +22,21 @@ all-pairs oracle on generated algebras F(d,c)/W.  The same generators,
 with catalog algebras plus A(k) on either side, check the center, the
 upper central series and the minimal generators against the routes the
 package used before they were read off one reduction: quotient algebras
-for the series, and `complement_in` for the generators.
+for the series, and `complement_in` for the generators.  The quotient's
+projection and the central-ideal bound, both read off the ideal's rows and
+the quotient, are compared with the routes kept in `oracles`: each e_k
+reduced mod I, and dim M(L/I) - dim(L^2 cap I) by intersection.
 """
 
 import pytest
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from hypothesis import example, given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, span
 from liecap.errors import (
+    EngineError,
     NotIdealError,
     NotNilpotentError,
     ResourceError,
@@ -74,12 +79,14 @@ from liecap.schur import (
 from oracles import (
     brute_force_multiplier_dim_abelian,
     commutator_full_route,
+    epicenter_test_dd_by_intersection,
     exterior_center_all_pairs,
     exterior_center_from,
     free_presentation,
     lower_central_series_loop,
     lyndon_count,
     present,
+    quotient_projection_by_reduction,
     solve_right_inverse,
     upper_central_series_by_quotients,
 )
@@ -488,6 +495,21 @@ def test_resource_error_when_neither_route_fits(monkeypatch):
     assert "wedge" not in L._cache
 
 
+def test_wedge_guard_raises_before_listing_the_pairs():
+    # A(2000) has class 1 and every degree 1, so all C(2000, 2) pairs would
+    # be columns; they are counted, not listed, before the guard raises
+    L = abelian(QQ, 2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError,
+                           match=f"reduce {comb(2000, 2)} columns"):
+            schur_multiplier_dim(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 # ----------------------------------------------------------------------
 # properties: change of basis and direct sums
 # ----------------------------------------------------------------------
@@ -672,10 +694,10 @@ def test_variants_produce_distinct_relation_spaces():
 # the homology report
 # ----------------------------------------------------------------------
 
-def test_homology_report_is_coherent_and_cached():
+def test_homology_report_is_coherent_and_repeatable():
     L = build("L5_7", GF2)
     rep = homology(L)
-    assert rep is homology(L)
+    assert rep == homology(L)
     assert rep.dim_exterior_square == rep.dim_M + L.derived_subalgebra().dim
     assert rep.capable == rep.exterior_center.is_zero
     assert rep.to_json() == {
@@ -740,3 +762,46 @@ def test_bound_holds_on_all_center_lines_of_catalog_sample():
             for row in L.center().basis:
                 dd = epicenter_test_dd(L, span(f, L.dim, [row]))
                 assert dd.consistent, (f, name, row)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the EngineError it raised."""
+    try:
+        return fn(*args)
+    except EngineError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _ideal_cases(draw):
+    """(L, subspaces): L a catalog algebra with A(k), k <= 2, on either
+    side; the subspaces a random central line or plane, a nonzero lower
+    central series term, and a random line of L, often not an ideal."""
+    L = draw(_abelian_sums())
+    f, n = L.field, L.dim
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+
+    def nonzero(k):
+        return st.lists(entry, min_size=k, max_size=k).filter(any)
+
+    z = L.center().basis
+    coeffs = draw(st.lists(nonzero(len(z)), min_size=1, max_size=2))
+    central = span(f, n, [[sum(c * row[t] for c, row in zip(cs, z))
+                           for t in range(n)] for cs in coeffs])
+    return L, (central,
+               draw(st.sampled_from(L.lower_central_series()[:-1])),
+               span(f, n, [draw(nonzero(n))]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_ideal_cases())
+def test_quotient_and_bound_match_the_parent_routes(case):
+    """The projection read off I's rows against e_k reduced mod I, and the
+    bound's right side read off the quotient against dim M(L/I) -
+    dim(L^2 cap I) by intersection, errors included."""
+    L, subspaces = case
+    for I in subspaces:
+        assert repr(_outcome(lambda: L.quotient(I)[1].matrix)) == repr(
+            _outcome(quotient_projection_by_reduction, L, I))
+        assert _outcome(epicenter_test_dd, L, I) == _outcome(
+            epicenter_test_dd_by_intersection, L, I)

@@ -236,7 +236,7 @@ class LieAlgebra:
             series = [self.full_space()]
             nxt = self.derived_subalgebra()
             while True:
-                stable = nxt.dim == series[-1].dim  # nonzero unless L = 0
+                stable = nxt.dim == series[-1].dim  # above 0: not nilpotent
                 series.append(nxt)
                 if stable or nxt.is_zero:
                     break

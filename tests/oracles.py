@@ -30,7 +30,6 @@ import numpy as np
 from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
 from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import Hom, LieAlgebra, minimal_generators
-from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
 from liecap.linalg import (
     Matrix,
     Subspace,
@@ -42,6 +41,7 @@ from liecap.linalg import (
     subspace_sum,
     zero_subspace,
 )
+from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
 
 
 def lyndon_count(d: int, k: int) -> int:

@@ -39,25 +39,19 @@ def catalog_names() -> list:
     return list(CATALOG)
 
 
-def _one_tables(name: str) -> dict:
-    """Fixed tables with coefficient 1 entries, as {(i, j): {k: 1}}."""
-    fixed = {
-        "L4_3": {(0, 1): {2: 1}, (0, 2): {3: 1}},
-        "L5_5": {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 3): {4: 1}},
-        "L5_7": {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}},
-        "L5_8": {(0, 1): {3: 1}, (0, 2): {4: 1}},
-        "L6_10": {(0, 1): {2: 1}, (0, 2): {5: 1}, (3, 4): {5: 1}},
-        "L6_13": {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 3): {4: 1},
-                  (0, 4): {5: 1}, (2, 3): {5: 1}},
-        "L27A": {(0, 1): {5: 1}, (2, 3): {5: 1}, (0, 4): {6: 1},
-                 (1, 2): {6: 1}},
-        "L27B": {(0, 1): {5: 1}, (0, 3): {6: 1}, (2, 4): {6: 1}},
-    }
-    return fixed[name]
-
-
-_DIMS = {"L4_3": 4, "L5_5": 5, "L5_7": 5, "L5_8": 5, "L6_7_2": 6,
-         "L6_10": 6, "L6_13": 6, "L6_22": 6, "L27A": 7, "L27B": 7}
+# the parameter-free algebras: name -> (dim, table with coefficients 1)
+_FIXED = {
+    "L4_3": (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    "L5_5": (5, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 3): {4: 1}}),
+    "L5_7": (5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}}),
+    "L5_8": (5, {(0, 1): {3: 1}, (0, 2): {4: 1}}),
+    "L6_10": (6, {(0, 1): {2: 1}, (0, 2): {5: 1}, (3, 4): {5: 1}}),
+    "L6_13": (6, {(0, 1): {2: 1}, (0, 2): {4: 1}, (1, 3): {4: 1},
+                  (0, 4): {5: 1}, (2, 3): {5: 1}}),
+    "L27A": (7, {(0, 1): {5: 1}, (2, 3): {5: 1}, (0, 4): {6: 1},
+                 (1, 2): {6: 1}}),
+    "L27B": (7, {(0, 1): {5: 1}, (0, 3): {6: 1}, (2, 4): {6: 1}}),
+}
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +110,8 @@ def build(name: str, field: FieldSpec, n: Optional[int] = None,
         return _validated(LieAlgebra(
             field, 6, table, name=f"L6_7_2(eta={field.format(e)})"))
 
-    return _validated(LieAlgebra(field, _DIMS[name], _one_tables(name),
-                                 name=name))
+    dim, table = _FIXED[name]
+    return _validated(LieAlgebra(field, dim, table, name=name))
 
 
 def _validated(L: LieAlgebra) -> LieAlgebra:

@@ -9,14 +9,17 @@ coarse invariant and differ exactly by capability, is delegated to the
 exterior-center ground truth.
 
 The class-2 rule reads the stem dimension off the center.  Nilpotent L is
-T (+) A(k), T a stem (Z(T) inside T^2) as stem_decompose builds it.  In
-class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A(k) and
-t = dim T = codim Z(L) + 2 when dim L^2 = 2.  Only t = 7 builds T: the
-ground truth is asked of the 7-dimensional stem, whose exterior square
-does not grow with k as that of L does.  T decides for L: for k >= 1,
-Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for a in A(k) puts the T-part
-of z in T^2; z ^ x = 0 for x in T kills its A-part, as T != T^2), and
-Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
+T (+) A', T a stem (Z(T) inside T^2) as stem_decompose builds it.  In
+class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A' and
+t = dim T = codim Z(L) + 2 when dim L^2 = 2.  At t = 7 the ground truth
+is asked of L/A, A = complement_in(L^2, Z(L)), which is 7-dimensional
+and isomorphic to T: the linear map that fixes T and sends each a' in A'
+to its A-component along L^2 moves every vector by an element of the
+central L^2, so it is an automorphism, and it maps A' onto A.  Unlike
+that of L, the exterior square of L/A does not grow with k = dim A.  T
+decides for L: for k >= 1, Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for
+a in A(k) puts the T-part of z in T^2; z ^ x = 0 for x in T kills its
+A-part, as T != T^2), and Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
 
 verify_paper cross-checks the structural rules against the ground truth
 on the whole catalog and on randomized samples, and returns a
@@ -34,9 +37,9 @@ from . import catalog, schur
 from .errors import NotNilpotentError, ScopeError
 from .field import GF2, QQ, FieldSpec
 from .freelie import free_nilpotent, hall_basis, tree_degree, witt_dimension
-from .liealg import (LieAlgebra, abelian, central_product, direct_sum,
-                     stem_decompose)
-from .linalg import Subspace, span, subspace_intersect, zero_subspace
+from .liealg import LieAlgebra, abelian, central_product, direct_sum
+from .linalg import (Subspace, complement_in, span, subspace_intersect,
+                     zero_subspace)
 
 # enumerated decision-rule tags for Verdict.rule
 RULE_ABELIAN = "abelian-dimension"
@@ -197,7 +200,8 @@ def capability_structural(L: LieAlgebra) -> Verdict:
         return Verdict(True, RULE_CLASS2_STEM_DIM,
                        _with_tail(base, k), f"stem dimension {t}")
     if t == 7:
-        capable = schur.is_capable(stem_decompose(L).T)
+        A = complement_in(L.derived_subalgebra(), L.center())
+        capable = schur.is_capable(L.quotient(A)[0])
         base = "L27A" if capable else "L27B"
         return Verdict(capable, RULE_CLASS2_DIM7_GROUND_TRUTH,
                        _with_tail(base, k),
@@ -211,15 +215,10 @@ def capability_structural(L: LieAlgebra) -> Verdict:
 # ======================================================================
 
 def plus_abelian(L: LieAlgebra, k: int) -> LieAlgebra:
-    """L + A(k) as a direct sum, cached on L."""
+    """L + A(k) as a direct sum; L itself when k = 0."""
     if k == 0:
         return L
-    key = ("plus_abelian", k)
-    cached = L._cache.get(key)
-    if cached is None:
-        cached = direct_sum(L, abelian(L.field, k))
-        L._cache[key] = cached
-    return cached
+    return direct_sum(L, abelian(L.field, k))
 
 
 @lru_cache(maxsize=None)
@@ -539,20 +538,17 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
     l27b = catalog.build("L27B", f)
     dd = schur.epicenter_test_dd(l27b, schur.exterior_center(l27b))
     report.add(sec, f"{lab}/L27B/exterior-center-ideal",
-               "equality case at the exterior center",
-               {"lhs": dd.lhs, "rhs": dd.rhs, "contained": dd.contained},
+               "equality case at the exterior center", dd._asdict(),
                dd.lhs == dd.rhs and dd.contained)
     h1 = catalog.build("H", f, m=1)
     zline = span(f, 3, [(f.zero, f.zero, f.one)])
     dd = schur.epicenter_test_dd(h1, zline)
     report.add(sec, f"{lab}/H(1)/center-line",
-               "strict case for the capable Heisenberg algebra",
-               {"lhs": dd.lhs, "rhs": dd.rhs, "contained": dd.contained},
+               "strict case for the capable Heisenberg algebra", dd._asdict(),
                dd.lhs > dd.rhs and not dd.contained)
     dd = schur.epicenter_test_dd(h1, zero_subspace(f, 3))
     report.add(sec, f"{lab}/H(1)/zero-ideal", "trivial ideal equality",
-               {"lhs": dd.lhs, "rhs": dd.rhs, "contained": dd.contained},
-               dd.lhs == dd.rhs and dd.contained)
+               dd._asdict(), dd.lhs == dd.rhs and dd.contained)
 
 
 def _check_central_products(report: VerificationReport, f: FieldSpec) -> None:

@@ -198,14 +198,6 @@ def _check_expect(report: dict, expects) -> int:
     return 0
 
 
-def _context(L: LieAlgebra) -> dict:
-    return {
-        "name": L.name or "(unnamed)",
-        "field": str(L.field),
-        "dim": L.dim,
-    }
-
-
 # ======================================================================
 # subcommands
 # ======================================================================
@@ -220,32 +212,39 @@ def _jacobi_holds(L: LieAlgebra) -> bool:
     return rep.ok
 
 
-def cmd_validate(args) -> int:
-    L = load_algebra(args.path)
-    if not _jacobi_holds(L):
-        return 2
-    report = _context(L)
-    report["jacobi"] = "ok"
-    if L.is_nilpotent:
-        report["nilpotent"] = True
-        report["class"] = L.nilpotency_class()
-        report["lower_series_dims"] = [s.dim
-                                       for s in L.lower_central_series()]
-        report["upper_series_dims"] = [s.dim
-                                       for s in L.upper_central_series()]
-    else:
-        report["nilpotent"] = False
-    _emit_report(report, args.json)
-    return 0
+def _file_command(report_of):
+    """A subcommand on one algebra file: load it, check Jacobi, emit its
+    name, field and dim followed by report_of(L, args), and check
+    --expect against the whole report."""
+    def run(args) -> int:
+        L = load_algebra(args.path)
+        if not _jacobi_holds(L):
+            return 2
+        report = {"name": L.name or "(unnamed)", "field": str(L.field),
+                  "dim": L.dim}
+        report.update(report_of(L, args))
+        _emit_report(report, args.json)
+        return _check_expect(report, getattr(args, "expect", None))
+    return run
 
 
-def cmd_analyze(args) -> int:
-    L = load_algebra(args.path)
-    if not _jacobi_holds(L):
-        return 2
+@_file_command
+def cmd_validate(L: LieAlgebra, args) -> dict:
+    if not L.is_nilpotent:
+        return {"jacobi": "ok", "nilpotent": False}
+    return {
+        "jacobi": "ok",
+        "nilpotent": True,
+        "class": L.nilpotency_class(),
+        "lower_series_dims": [s.dim for s in L.lower_central_series()],
+        "upper_series_dims": [s.dim for s in L.upper_central_series()],
+    }
+
+
+@_file_command
+def cmd_analyze(L: LieAlgebra, args) -> dict:
     fp = classify.fingerprint(L)
-    report = _context(L)
-    report.update({
+    return {
         "class": fp.nilpotency_class,
         "lower_series_dims": list(fp.lower_dims),
         "upper_series_dims": list(fp.upper_dims),
@@ -259,41 +258,25 @@ def cmd_analyze(args) -> int:
         "stem": fp.is_stem,
         "gen_heisenberg_rank": fp.gen_heisenberg_rank,
         "maximal_class": fp.is_maximal_class,
-    })
-    _emit_report(report, args.json)
-    return _check_expect(report, args.expect)
+    }
 
 
-def cmd_capable(args) -> int:
-    L = load_algebra(args.path)
-    if not _jacobi_holds(L):
-        return 2
-    report = _context(L)
+@_file_command
+def cmd_capable(L: LieAlgebra, args) -> dict:
     if args.structural:
         verdict = classify.capability_structural(L)
-        report["capable"] = verdict.capable
-        report["mode"] = "structural"
-        report["rule"] = verdict.rule
-        report["family_label"] = verdict.family_label
-        report["detail"] = verdict.detail
-    else:
-        zc = schur.exterior_center(L)
-        report["capable"] = zc.is_zero
-        report["mode"] = "ground-truth"
-        report["dim_exterior_center"] = zc.dim
-    _emit_report(report, args.json)
-    return _check_expect(report, args.expect)
+        return {"capable": verdict.capable, "mode": "structural",
+                "rule": verdict.rule, "family_label": verdict.family_label,
+                "detail": verdict.detail}
+    zc = schur.exterior_center(L)
+    return {"capable": zc.is_zero, "mode": "ground-truth",
+            "dim_exterior_center": zc.dim}
 
 
-def cmd_multiplier(args) -> int:
-    L = load_algebra(args.path)
-    if not _jacobi_holds(L):
-        return 2
-    report = _context(L)
-    report["dim_multiplier"] = schur.schur_multiplier_dim(L)
-    report["dim_exterior_square"] = schur.exterior_square_dim(L)
-    _emit_report(report, args.json)
-    return _check_expect(report, args.expect)
+@_file_command
+def cmd_multiplier(L: LieAlgebra, args) -> dict:
+    return {"dim_multiplier": schur.schur_multiplier_dim(L),
+            "dim_exterior_square": schur.exterior_square_dim(L)}
 
 
 def cmd_catalog(args) -> int:
@@ -412,10 +395,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (EngineError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

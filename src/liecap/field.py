@@ -9,7 +9,7 @@ are equal, which makes subspace equality structural later on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -41,6 +41,9 @@ class FieldSpec:
 
     kind: str
     p: int = 0
+    # the constants 0 and 1, made once: outside equality, hash and repr
+    zero: Scalar = dc_field(init=False, compare=False, repr=False)
+    one: Scalar = dc_field(init=False, compare=False, repr=False)
 
     # --- constructors -----------------------------------------------------
 
@@ -59,6 +62,9 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("Q", "GFp"):
             raise FieldError(f"unknown field kind {self.kind!r}")
+        q = self.kind == "Q"
+        object.__setattr__(self, "zero", Fraction(0) if q else 0)
+        object.__setattr__(self, "one", Fraction(1) if q else 1)
 
     # --- basic properties -------------------------------------------------
 
@@ -69,14 +75,6 @@ class FieldSpec:
     @property
     def characteristic(self) -> int:
         return 0 if self.kind == "Q" else self.p
-
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "Q" else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "Q" else 1
 
     def __str__(self) -> str:
         return "Q" if self.kind == "Q" else f"GF({self.p})"

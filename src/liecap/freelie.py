@@ -24,11 +24,9 @@ from typing import Union
 
 from .errors import ResourceError, ShapeError
 from .field import FieldSpec
-from .liealg import LieAlgebra
+from .liealg import DEFAULT_MAX_DIM, LieAlgebra
 
 HallTree = Union[int, tuple]
-
-DEFAULT_MAX_DIM = 2000
 
 
 # ======================================================================
@@ -154,21 +152,17 @@ def _hall_data(d: int, c: int):
             memo[(i, j)] = out
             return out
         a, b = children[j]  # tj = (a, b) with a > i in the tree order
+        # [e_i, [a, b]] = [[e_i, a], b] - [[e_i, b], a]
         out: dict = {}
-        for t_idx, cf in nb_signed(i, a).items():
-            for k2, c2 in nb_signed(t_idx, b).items():
-                v = out.get(k2, 0) + cf * c2
-                if v:
-                    out[k2] = v
-                else:
-                    out.pop(k2, None)
-        for s_idx, cf in nb_signed(i, b).items():
-            for k2, c2 in nb_signed(a, s_idx).items():
-                v = out.get(k2, 0) + cf * c2
-                if v:
-                    out[k2] = v
-                else:
-                    out.pop(k2, None)
+        for inner, other, sign in ((nb_signed(i, a), b, 1),
+                                   (nb_signed(i, b), a, -1)):
+            for t_idx, cf in inner.items():
+                for k2, c2 in nb_signed(t_idx, other).items():
+                    v = out.get(k2, 0) + sign * cf * c2
+                    if v:
+                        out[k2] = v
+                    else:
+                        out.pop(k2, None)
         memo[(i, j)] = out
         return out
 
@@ -212,7 +206,6 @@ class FreeNilpotent:
         return self.algebra.dim
 
 
-@lru_cache(maxsize=None)
 def free_nilpotent(d: int, c: int, field: FieldSpec) -> FreeNilpotent:
     if d < 1 or c < 1:
         raise ShapeError("free_nilpotent needs d >= 1, c >= 1")

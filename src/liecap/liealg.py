@@ -16,11 +16,15 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import NotIdealError, NotNilpotentError, ShapeError
-from .field import FieldSpec, Scalar
+from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
+from .field import FieldSpec
 from .linalg import Matrix, Subspace
 
 SparseVec = dict  # dict[int, Scalar], no zero values
+
+# The size guard: no algebra of larger dimension is built, and the wedge
+# route reduces at most this many columns of Lambda^2 L.
+DEFAULT_MAX_DIM = 2000
 
 
 # ======================================================================
@@ -40,6 +44,9 @@ class LieAlgebra:
                  brackets: Mapping | None = None, name: str = ""):
         if dim < 0:
             raise ShapeError("negative dimension")
+        if dim > DEFAULT_MAX_DIM:
+            raise ResourceError(f"dimension {dim} is past the size guard "
+                                f"{DEFAULT_MAX_DIM}")
         self.field = field
         self.dim = dim
         table: dict = {}
@@ -259,8 +266,6 @@ class LieAlgebra:
     def upper_central_series(self) -> tuple:
         """(Z_0 = 0, Z_1 = Z(L), ...) up to L or to stabilization, with
         Z_{i+1} = {v : [v, L] in Z_i}."""
-        if "ucs" in self._cache:
-            return self._cache["ucs"]
         series = [linalg.zero_subspace(self.field, self.dim)]
         while series[-1].dim < self.dim:
             zi = series[-1]
@@ -268,8 +273,7 @@ class LieAlgebra:
             series.append(nxt)
             if nxt.dim == zi.dim:
                 break  # stabilized below L: not nilpotent
-        self._cache["ucs"] = tuple(series)
-        return self._cache["ucs"]
+        return tuple(series)
 
     # --- structural predicates --------------------------------------------
 
@@ -295,7 +299,8 @@ class LieAlgebra:
 
     def quotient(self, ideal: Subspace) -> tuple:
         """(L/I, projection Hom).  Basis: standard vectors at I's non-pivot
-        coordinates, in index order (the canonical complement rule).  The
+        coordinates, in index order (the canonical complement rule), with
+        the table's entries on two kept indices reduced mod I.  The
         projection's column k is e_k at a kept k; at a pivot k it is minus
         I's row with pivot k, read at the kept coordinates."""
         if ideal.ambient_dim != self.dim or ideal.field != self.field:
@@ -311,19 +316,15 @@ class LieAlgebra:
         row_of = dict(zip(ideal.pivots, ideal.basis))
         keep = [k for k in range(self.dim) if k not in row_of]
         pos = {k: a for a, k in enumerate(keep)}
-        m = len(keep)
         brackets: dict = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                sv = self.bracket_basis(keep[a], keep[b])
-                if not sv:
-                    continue
+        for (i, j), sv in self.table.items():
+            if i in pos and j in pos:
                 residual = ideal.reduce(self._densify(sv))
                 # residual is supported on non-pivot coordinates of the ideal
                 entry = {pos[k]: c for k, c in enumerate(residual) if c != 0}
                 if entry:
-                    brackets[(a, b)] = entry
-        quot = LieAlgebra(f, m, brackets,
+                    brackets[(pos[i], pos[j])] = entry
+        quot = LieAlgebra(f, len(keep), brackets,
                           name=f"{self.name}/I" if self.name else "")
         matrix = Matrix(f, tuple(
             tuple(f.neg(row_of[k][t]) if k in row_of

@@ -343,10 +343,9 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection by Zassenhaus block reduction."""
+    """Intersection by Zassenhaus block reduction: the reduced rows of
+    [a | a] over [b | 0] whose left half vanishes span a cap b."""
     a._check_mate(b)
-    if a.is_zero or b.is_zero:
-        return zero_subspace(a.field, a.ambient_dim)
     f, n = a.field, a.ambient_dim
     zero = [f.zero] * n
     stacked = [list(row) + list(row) for row in a.basis]

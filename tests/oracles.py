@@ -138,6 +138,28 @@ def quotient_projection_by_reduction(L, ideal) -> Matrix:
                                  for t in keep), L.dim)
 
 
+def quotient_table_by_kept_pairs(L, ideal) -> dict:
+    """The bracket table of L/I (I an ideal), from every pair of basis
+    vectors at I's non-pivot coordinates bracketed by `bracket_basis` and
+    reduced mod I."""
+    row_of = dict(zip(ideal.pivots, ideal.basis))
+    keep = [k for k in range(L.dim) if k not in row_of]
+    pos = {k: a for a, k in enumerate(keep)}
+    m = len(keep)
+    brackets: dict = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            sv = L.bracket_basis(keep[a], keep[b])
+            if not sv:
+                continue
+            residual = ideal.reduce(L._densify(sv))
+            # residual is supported on non-pivot coordinates of the ideal
+            entry = {pos[k]: c for k, c in enumerate(residual) if c != 0}
+            if entry:
+                brackets[(a, b)] = entry
+    return LieAlgebra(L.field, m, brackets).table
+
+
 def epicenter_test_dd_by_intersection(L, I) -> DDResult:
     """The central-ideal bound with its right side dim M(L/I) -
     dim(L^2 cap I), L^2 cap I formed by Zassenhaus intersection."""

@@ -209,11 +209,11 @@ def test_fingerprint_is_repeatable():
 # helper constructions
 # ----------------------------------------------------------------------
 
-def test_plus_abelian_dims_and_identity():
+def test_plus_abelian_dims_and_tables():
     L = build("L4_3", QQ)
     assert plus_abelian(L, 0) is L
     assert plus_abelian(L, 2).dim == 6
-    assert plus_abelian(L, 2) is plus_abelian(L, 2)
+    assert plus_abelian(L, 2).same_table(plus_abelian(L, 2))
 
 
 def test_class3_stem_products_shapes():

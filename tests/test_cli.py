@@ -389,6 +389,40 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(Path(liecap.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # imports there are the public API
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {name}"
+                           for name in (a.asname or a.name.split(".")[0]
+                                        for a in node.names)
+                           if name not in used]
+    assert not unused, unused
+
+
+@pytest.mark.parametrize("dim", [2001, 20000])
+@pytest.mark.parametrize("command", ["validate", "analyze", "multiplier",
+                                     "capable"])
+def test_subprocess_dimension_past_the_guard_exits_one(tmp_path, command,
+                                                       dim):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema_version": "1",
+                                "field": {"kind": "Q"}, "dim": dim,
+                                "brackets": []}))
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: dimension {dim} is past the size "
+                           f"guard 2000\n")
+    assert proc.stdout == ""
+
+
 def test_subprocess_multiplier_pipeline(tmp_path):
     path = tmp_path / "h1.json"
     emit_proc = run_cli("catalog", "emit", "H", "--m", "1",

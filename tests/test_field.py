@@ -44,6 +44,16 @@ def test_field_specs_are_hashable_and_comparable():
     assert len({QQ, GF2, FieldSpec.gf(2), GF3}) == 3
 
 
+def test_zero_and_one_are_made_once():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert (QQ.zero, QQ.one, GF3.zero, GF3.one) == (0, 1, 0, 1)
+    assert isinstance(QQ.one, Fraction)
+    # the constants stay out of equality, hashing and repr
+    assert FieldSpec.rationals() == QQ
+    assert hash(FieldSpec.gf(3)) == hash(GF3)
+    assert repr(GF3) == "FieldSpec(kind='GFp', p=3)"
+
+
 # ----------------------------------------------------------------------
 # coercion and normal form
 # ----------------------------------------------------------------------

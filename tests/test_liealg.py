@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, LieAlgebra, span
-from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
+from liecap.errors import (NotIdealError, NotNilpotentError, ResourceError,
+                           ShapeError)
 from liecap.liealg import (
+    DEFAULT_MAX_DIM,
     abelian,
     central_product,
     direct_sum,
@@ -92,6 +94,12 @@ def test_table_entries_out_of_range_rejected():
         LieAlgebra(QQ, 2, {(1, 0): {0: Fraction(1)}})
     with pytest.raises(ShapeError):
         LieAlgebra(QQ, 2, {(0, 1): {3: Fraction(1)}})
+
+
+def test_size_guard_rejects_dimension_past_the_guard():
+    assert LieAlgebra(QQ, DEFAULT_MAX_DIM).dim == DEFAULT_MAX_DIM
+    with pytest.raises(ResourceError, match="dimension 2001 is past"):
+        LieAlgebra(QQ, DEFAULT_MAX_DIM + 1)
 
 
 # ----------------------------------------------------------------------

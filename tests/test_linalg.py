@@ -247,6 +247,17 @@ def test_intersection_gf3_matches_enumeration():
     assert _enumerate(got) == _enumerate(a) & _enumerate(b)
 
 
+@pytest.mark.parametrize("f", [QQ, GF3])
+def test_intersection_with_a_zero_operand_is_zero(f):
+    a = span(f, 3, [[1, 2, 0], [0, 1, 1]])
+    zero = zero_subspace(f, 3)
+    assert subspace_intersect(a, zero) == zero
+    assert subspace_intersect(zero, a) == zero
+    assert subspace_intersect(zero, zero) == zero
+    assert subspace_intersect(zero_subspace(f, 0), zero_subspace(f, 0)) \
+        == zero_subspace(f, 0)
+
+
 def test_intersection_random_against_enumeration():
     rng = random.Random(23)
     for trial in range(15):

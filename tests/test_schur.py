@@ -87,6 +87,7 @@ from oracles import (
     lyndon_count,
     present,
     quotient_projection_by_reduction,
+    quotient_table_by_kept_pairs,
     solve_right_inverse,
     upper_central_series_by_quotients,
 )
@@ -507,7 +508,7 @@ def test_wedge_guard_raises_before_listing_the_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
+    assert peak < 5 * 2**20
 
 
 # ----------------------------------------------------------------------
@@ -714,6 +715,22 @@ def test_homology_of_zero_algebra():
     assert rep.capable  # the zero algebra is its own central quotient
 
 
+@pytest.mark.parametrize("f", [QQ, GF2, GF3])
+def test_zero_algebra_takes_the_general_path(f):
+    """No pairs, no generators: the wedge route gives (0, 0, 0) and the
+    bound at the zero ideal matches the oracle's shortcut."""
+    L = LieAlgebra(f, 0)
+    zero = zero_subspace(f, 0)
+    rep = homology(L)
+    assert (rep.dim_M, rep.dim_exterior_square, rep.exterior_center) \
+        == (0, 0, zero)
+    assert _wedge(L).col == {} and _wedge(L).blocks == {}
+    assert epicenter_test_dd(L, zero) == epicenter_test_dd_by_intersection(
+        L, zero) == (0, 0, True)
+    assert L.quotient(zero)[0].table == quotient_table_by_kept_pairs(
+        L, zero) == {}
+
+
 # ----------------------------------------------------------------------
 # central-ideal bound
 # ----------------------------------------------------------------------
@@ -776,7 +793,8 @@ def _outcome(fn, *args):
 def _ideal_cases(draw):
     """(L, subspaces): L a catalog algebra with A(k), k <= 2, on either
     side; the subspaces a random central line or plane, a nonzero lower
-    central series term, and a random line of L, often not an ideal."""
+    central series term, a random line of L, often not an ideal, and the
+    zero ideal."""
     L = draw(_abelian_sums())
     f, n = L.field, L.dim
     entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
@@ -790,18 +808,22 @@ def _ideal_cases(draw):
                            for t in range(n)] for cs in coeffs])
     return L, (central,
                draw(st.sampled_from(L.lower_central_series()[:-1])),
-               span(f, n, [draw(nonzero(n))]))
+               span(f, n, [draw(nonzero(n))]), zero_subspace(f, n))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_ideal_cases())
 def test_quotient_and_bound_match_the_parent_routes(case):
-    """The projection read off I's rows against e_k reduced mod I, and the
-    bound's right side read off the quotient against dim M(L/I) -
+    """The projection read off I's rows against e_k reduced mod I, the
+    quotient's table from L's table against the kept pairs bracketed, and
+    the bound's right side read off the quotient against dim M(L/I) -
     dim(L^2 cap I) by intersection, errors included."""
     L, subspaces = case
     for I in subspaces:
         assert repr(_outcome(lambda: L.quotient(I)[1].matrix)) == repr(
             _outcome(quotient_projection_by_reduction, L, I))
+        table = _outcome(lambda: L.quotient(I)[0].table)
+        if isinstance(table, dict):
+            assert table == quotient_table_by_kept_pairs(L, I)
         assert _outcome(epicenter_test_dd, L, I) == _outcome(
             epicenter_test_dd_by_intersection, L, I)

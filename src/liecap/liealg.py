@@ -36,6 +36,11 @@ class LieAlgebra:
 
     `table` maps (i, j) with i < j to {k: coefficient}; omitted pairs bracket
     to zero.  The Jacobi identity is checked by validate(), not assumed.
+
+    `_cache` keeps data derived from the table for the algebra's lifetime.
+    Cache keys: `derived`, `center`, `degrees` and `lcs` (here), `wedge`,
+    `exterior_center` and (`quotient_wedge`, I) per central ideal I
+    (schur).
     """
 
     __slots__ = ("field", "dim", "table", "name", "_cache")
@@ -326,11 +331,14 @@ class LieAlgebra:
                     brackets[(pos[i], pos[j])] = entry
         quot = LieAlgebra(f, len(keep), brackets,
                           name=f"{self.name}/I" if self.name else "")
-        matrix = Matrix(f, tuple(
-            tuple(f.neg(row_of[k][t]) if k in row_of
-                  else f.one if k == t else f.zero for k in range(self.dim))
-            for t in keep), self.dim)
-        return quot, Hom(self, quot, matrix)
+        rows = []
+        for t in keep:
+            row = [f.zero] * self.dim
+            row[t] = f.one
+            for k, irow in row_of.items():
+                row[k] = f.neg(irow[t])
+            rows.append(tuple(row))
+        return quot, Hom(self, quot, Matrix(f, tuple(rows), self.dim))
 
     def subalgebra_on(self, space: Subspace) -> "LieAlgebra":
         """The algebra structure induced on a bracket-closed subspace,

@@ -257,13 +257,21 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     ideal I, and report whether I sits inside the exterior center.  The
     projection maps L^2 onto (L/I)^2 with kernel L^2 cap I, so the right
     side is dim (L/I)^(L/I) - dim (L/I)^2 - (dim L^2 - dim (L/I)^2),
-    that is dim (L/I)^(L/I) - dim L^2."""
+    that is dim (L/I)^(L/I) - dim L^2.
+
+    dim (L/I)^(L/I) is cached on L under ("quotient_wedge", I): I is a
+    canonical Subspace, so two spanning sets of one ideal share the key,
+    and its field is part of the key.  The ambient and centrality checks
+    and the containment test run on every call."""
     if I.ambient_dim != L.dim:
         raise ShapeError("ideal lives in the wrong space")
     if not L.center().contains_subspace(I):
         raise NotIdealError("ideal is not central")
     lhs = schur_multiplier_dim(L)
-    quotient_alg, _ = L.quotient(I)
-    rhs = exterior_square_dim(quotient_alg) - L.derived_subalgebra().dim
+    quotient_wedge = L._cache.get(("quotient_wedge", I))
+    if quotient_wedge is None:
+        quotient_wedge = exterior_square_dim(L.quotient(I)[0])
+        L._cache[("quotient_wedge", I)] = quotient_wedge
+    rhs = quotient_wedge - L.derived_subalgebra().dim
     contained = exterior_center(L).contains_subspace(I)
     return DDResult(lhs=lhs, rhs=rhs, contained=contained)

@@ -7,6 +7,7 @@ subprocess to pin down interpreter-level behavior.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,46 @@ def test_no_module_imports_an_unused_name():
                                         for a in node.names)
                            if name not in used]
     assert not unused, unused
+
+
+def _cache_keys(tree):
+    """The key nodes of every `_cache[key]`, `_cache.get(key)` and
+    `key in _cache` (or `not in`) in a module."""
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_cache(node.value):
+            yield node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func,
+                                                        ast.Attribute)
+              and node.func.attr == "get" and is_cache(node.func.value)):
+            yield node.args[0]
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for key, op, right in zip(operands, node.ops, operands[1:]):
+                if isinstance(op, (ast.In, ast.NotIn)) and is_cache(right):
+                    yield key
+
+
+def test_every_cache_key_is_named_in_the_class_docstring():
+    """Each key of `LieAlgebra._cache`, a string or a tuple whose first
+    entry is one, is listed after "Cache keys:" in the class docstring,
+    and each name listed there is used."""
+    listed = set(re.findall(r"`(\w+)`",
+                            liecap.LieAlgebra.__doc__.split("Cache keys:")[1]))
+    used, unnamed = set(), []
+    for path in sorted(Path(liecap.__file__).parent.glob("*.py")):
+        for key in _cache_keys(ast.parse(path.read_text())):
+            if isinstance(key, ast.Tuple) and key.elts:
+                key = key.elts[0]
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                used.add(key.value)
+            else:
+                unnamed.append(f"{path.name}:{key.lineno}")
+    assert not unnamed, unnamed
+    assert used == listed, (used - listed, listed - used)
 
 
 @pytest.mark.parametrize("dim", [2001, 20000])

@@ -25,12 +25,17 @@ package used before they were read off one reduction: quotient algebras
 for the series, and `complement_in` for the generators.  The quotient's
 projection and the central-ideal bound, both read off the ideal's rows and
 the quotient, are compared with the routes kept in `oracles`: each e_k
-reduced mod I, and dim M(L/I) - dim(L^2 cap I) by intersection.
+reduced mod I, and dim M(L/I) - dim(L^2 cap I) by intersection.  The
+bound's cache of dim (L/I)^(L/I) is checked the same way: an ideal given
+again by another spanning set matches the oracle on a fresh algebra, the
+quotient is built once per canonical ideal, and every call still checks
+its input.
 """
 
 import pytest
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb
 from hypothesis import example, given, settings, strategies as st
 
@@ -827,3 +832,85 @@ def test_quotient_and_bound_match_the_parent_routes(case):
             assert table == quotient_table_by_kept_pairs(L, I)
         assert _outcome(epicenter_test_dd, L, I) == _outcome(
             epicenter_test_dd_by_intersection, L, I)
+
+
+@st.composite
+def _respanned_central_ideals(draw):
+    """(L, pairs): L a catalog algebra with A(k), k <= 2, on either side,
+    and random central lines and planes, each with a second spanning set:
+    its first row scaled and plus a combination of the others."""
+    L = draw(_abelian_sums())
+    f, n = L.field, L.dim
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+    unit = (st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 2)])
+            if f.is_rationals else st.integers(1, f.p - 1))
+    z = L.center().basis
+    pairs = []
+    for k in draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)):
+        coeffs = draw(st.lists(st.lists(entry, min_size=len(z),
+                                        max_size=len(z)).filter(any),
+                               min_size=k, max_size=k))
+        rows = [[sum(c * row[t] for c, row in zip(cs, z)) for t in range(n)]
+                for cs in coeffs]
+        s, others = draw(unit), draw(st.lists(entry, min_size=k - 1,
+                                              max_size=k - 1))
+        first = [s * x + sum(c * r[t] for c, r in zip(others, rows[1:]))
+                 for t, x in enumerate(rows[0])]
+        pairs.append((span(f, n, rows), span(f, n, [first, *rows[1:]])))
+    return L, pairs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_respanned_central_ideals())
+def test_bound_on_a_respanned_ideal_matches_a_fresh_algebra(case):
+    """The second spanning set of an ideal is the same canonical Subspace,
+    and both calls, the second a cache hit, equal the intersection oracle
+    on a fresh copy of L."""
+    L, pairs = case
+    for I, again in pairs:
+        assert again == I
+        for J in (I, again):
+            fresh = LieAlgebra(L.field, L.dim, L.table, L.name)
+            assert epicenter_test_dd(L, J) == \
+                epicenter_test_dd_by_intersection(fresh, J), (L.name, J)
+        assert type(L._cache[("quotient_wedge", I)]) is int
+
+
+def test_quotient_is_built_once_per_canonical_ideal(monkeypatch):
+    """Every central line of H(1) + A(2) over GF(3), each given by both
+    its nonzero multiples: L.quotient runs once per line, 13 of 26 calls."""
+    calls = []
+    quotient = LieAlgebra.quotient
+
+    def counted(self, ideal):
+        calls.append(ideal)
+        return quotient(self, ideal)
+
+    monkeypatch.setattr(LieAlgebra, "quotient", counted)
+    L = direct_sum(build("H", GF3, m=1), abelian(GF3, 2))
+    z = L.center().basis
+    lines = [span(GF3, L.dim, [[sum(c * row[t] for c, row in zip(cs, z))
+                                for t in range(L.dim)]])
+             for cs in product(range(3), repeat=len(z)) if any(cs)]
+    results = {}
+    for I in lines:
+        results.setdefault(I, set()).add(epicenter_test_dd(L, I))
+    assert len(lines) == 26 and len(results) == 13
+    assert len(calls) == 13
+    assert all(len(r) == 1 for r in results.values())
+
+
+def test_bound_checks_its_input_after_a_cache_hit():
+    """The ambient and centrality checks run on every call: a cached
+    ideal's rows over another field, a non-central line and a subspace of
+    the wrong dimension still raise."""
+    L = build("L4_3", GF3)
+    I = L.center()
+    assert epicenter_test_dd(L, I) == epicenter_test_dd(L, I)
+    with pytest.raises(NotIdealError):
+        epicenter_test_dd(L, span(GF3, 4, [[0, 0, 1, 0]]))
+    with pytest.raises(ShapeError):
+        epicenter_test_dd(L, zero_subspace(GF3, 3))
+    for f in (GF2, QQ):
+        with pytest.raises(ShapeError):
+            epicenter_test_dd(L, span(f, 4, I.basis))

@@ -13,13 +13,11 @@ from .errors import (
 from .field import GF2, GF3, GF5, QQ, FieldSpec
 from .linalg import Matrix, Subspace, kernel, span, subspace_intersect
 from .liealg import (
-    Hom,
     LieAlgebra,
     abelian,
     central_product,
     direct_sum,
     minimal_generators,
-    stem_decompose,
 )
 from .freelie import (
     FreeNilpotent,
@@ -52,8 +50,8 @@ __all__ = [
     "ResourceError", "ScopeError", "ShapeError",
     "FieldSpec", "QQ", "GF2", "GF3", "GF5",
     "Matrix", "Subspace", "kernel", "span", "subspace_intersect",
-    "LieAlgebra", "Hom", "abelian", "central_product", "direct_sum",
-    "minimal_generators", "stem_decompose",
+    "LieAlgebra", "abelian", "central_product", "direct_sum",
+    "minimal_generators",
     "FreeNilpotent", "free_nilpotent", "hall_basis", "witt_dimension",
     "HomologyReport",
     "schur_multiplier_dim", "exterior_square_dim", "exterior_center",

@@ -35,10 +35,6 @@ CATALOG = {
 }
 
 
-def catalog_names() -> list:
-    return list(CATALOG)
-
-
 # the parameter-free algebras: name -> (dim, table with coefficients 1)
 _FIXED = {
     "L4_3": (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),

@@ -9,7 +9,7 @@ coarse invariant and differ exactly by capability, is delegated to the
 exterior-center ground truth.
 
 The class-2 rule reads the stem dimension off the center.  Nilpotent L is
-T (+) A', T a stem (Z(T) inside T^2) as stem_decompose builds it.  In
+T (+) A', T a stem (Z(T) inside T^2) and A' abelian inside Z(L).  In
 class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A' and
 t = dim T = codim Z(L) + 2 when dim L^2 = 2.  At t = 7 the ground truth
 is asked of L/A, A = complement_in(L^2, Z(L)), which is 7-dimensional
@@ -84,13 +84,6 @@ class Fingerprint:
     gen_heisenberg_rank: int
     is_maximal_class: bool
 
-    def structural_key(self) -> tuple:
-        """The sub-tuple that avoids the homology invariants."""
-        return (self.field, self.dim, self.nilpotency_class,
-                self.lower_dims, self.upper_dims, self.dim_center,
-                self.dim_derived, self.is_stem, self.gen_heisenberg_rank,
-                self.is_maximal_class)
-
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     profile = L.structural_profile()
@@ -126,14 +119,6 @@ class Verdict:
     rule: str
     family_label: Optional[str] = None
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "capable": self.capable,
-            "rule": self.rule,
-            "family_label": self.family_label,
-            "detail": self.detail,
-        }
 
 
 def _with_tail(base: str, k: int) -> str:
@@ -201,7 +186,7 @@ def capability_structural(L: LieAlgebra) -> Verdict:
                        _with_tail(base, k), f"stem dimension {t}")
     if t == 7:
         A = complement_in(L.derived_subalgebra(), L.center())
-        capable = schur.is_capable(L.quotient(A)[0])
+        capable = schur.is_capable(L.quotient(A))
         base = "L27A" if capable else "L27B"
         return Verdict(capable, RULE_CLASS2_DIM7_GROUND_TRUTH,
                        _with_tail(base, k),
@@ -399,7 +384,7 @@ def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
             for idx in (4, 5):
                 line = span(f, 6, [tuple(
                     f.one if i == idx else f.zero for i in range(6))])
-                q, _ = L.quotient(line)
+                q = L.quotient(line)
                 mq = schur.schur_multiplier_dim(q)
                 dims.append(mq)
                 ok = ok and (mq - 1 < m_l)
@@ -466,7 +451,7 @@ def _check_class3(report: VerificationReport, f: FieldSpec) -> None:
         if L.structural_profile().is_stem and L.nilpotency_class() == 3:
             z = L.center()
             gamma3 = L.lower_central_series()[2]
-            q, _ = L.quotient(z)
+            q = L.quotient(z)
             shape_ok = (z.dim == 1
                         and gamma3.dim == 1
                         and z.contains_subspace(gamma3)
@@ -500,7 +485,7 @@ def _check_quotient_witnesses(report: VerificationReport,
         src = catalog.build(src_name, f)
         line = span(f, src.dim, [tuple(
             f.one if i == kill else f.zero for i in range(src.dim))])
-        q, _ = src.quotient(line)
+        q = src.quotient(line)
         want = catalog.build(want_name, f)
         report.add(sec, f"{lab}/{src_name}->{want_name}",
                    "central-line quotient reproduces the smaller table",
@@ -584,7 +569,7 @@ def _push(proj, sub: Subspace, offset: int, width: int,
     f = target.field
     rows = []
     for row in sub.basis:
-        big = [f.zero] * proj.source.dim
+        big = [f.zero] * proj.ncols
         for i, x in enumerate(row):
             big[offset + i] = x
         rows.append(proj.apply(big))

@@ -133,19 +133,6 @@ class FieldSpec:
     def neg(self, a: Scalar) -> Scalar:
         return -a if self.kind == "Q" else (-a) % self.p
 
-    def inv(self, a: Scalar) -> Scalar:
-        """Multiplicative inverse; ZeroDivisionError on zero."""
-        if self.kind == "Q":
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return Fraction(1) / a
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 in {self}")
-        return pow(a, -1, self.p)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     # --- enumeration and sampling ----------------------------------------
 
     def elements(self) -> Iterator[Scalar]:

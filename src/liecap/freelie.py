@@ -217,13 +217,3 @@ def free_nilpotent(d: int, c: int, field: FieldSpec) -> FreeNilpotent:
     alg = LieAlgebra(field, total, ztable, name=f"F({d},{c})")
     return FreeNilpotent(d=d, c=c, field=field, algebra=alg,
                          trees=trees, degrees=degrees, index=dict(index))
-
-
-def normalize_bracket(F: FreeNilpotent, t1: HallTree, t2: HallTree) -> tuple:
-    """[t1, t2] as a dense coordinate vector over the Hall basis."""
-    i = F.index.get(t1)
-    j = F.index.get(t2)
-    if i is None or j is None:
-        raise ShapeError("argument is not a Hall basis tree of this algebra")
-    sv = F.algebra.bracket_basis(i, j)
-    return F.algebra._densify(sv)

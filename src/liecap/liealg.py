@@ -2,8 +2,8 @@
 
 A LieAlgebra stores the brackets [e_i, e_j] for i < j as sparse coordinate
 dictionaries over a FieldSpec.  All derived objects (series, centers,
-quotients, products, stem decompositions) are computed with the canonical
-subspaces from linalg, so equal inputs give byte-equal outputs.
+quotients, products) are computed with the canonical subspaces from
+linalg, so equal inputs give byte-equal outputs.
 
 Indices are 0-based internally; the JSON file format (cli module) is 1-based.
 Instances are immutable after construction apart from a private cache of
@@ -119,6 +119,8 @@ class LieAlgebra:
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
+        if not 0 <= i < self.dim:
+            raise ShapeError(f"basis index {i} out of range for dim {self.dim}")
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
 
@@ -302,12 +304,10 @@ class LieAlgebra:
 
     # --- constructions ----------------------------------------------------
 
-    def quotient(self, ideal: Subspace) -> tuple:
-        """(L/I, projection Hom).  Basis: standard vectors at I's non-pivot
-        coordinates, in index order (the canonical complement rule), with
-        the table's entries on two kept indices reduced mod I.  The
-        projection's column k is e_k at a kept k; at a pivot k it is minus
-        I's row with pivot k, read at the kept coordinates."""
+    def quotient(self, ideal: Subspace) -> "LieAlgebra":
+        """L/I.  Basis: standard vectors at I's non-pivot coordinates, in
+        index order (the canonical complement rule), with the table's
+        entries on two kept indices reduced mod I."""
         if ideal.ambient_dim != self.dim or ideal.field != self.field:
             raise ShapeError("ideal lives in the wrong space")
         for row in ideal.basis:
@@ -317,9 +317,8 @@ class LieAlgebra:
                 if img and any(ideal.reduce(self._densify(img))):
                     raise NotIdealError(
                         f"subspace is not an ideal (fails at basis {j})")
-        f = self.field
-        row_of = dict(zip(ideal.pivots, ideal.basis))
-        keep = [k for k in range(self.dim) if k not in row_of]
+        pivots = set(ideal.pivots)
+        keep = [k for k in range(self.dim) if k not in pivots]
         pos = {k: a for a, k in enumerate(keep)}
         brackets: dict = {}
         for (i, j), sv in self.table.items():
@@ -329,34 +328,8 @@ class LieAlgebra:
                 entry = {pos[k]: c for k, c in enumerate(residual) if c != 0}
                 if entry:
                     brackets[(pos[i], pos[j])] = entry
-        quot = LieAlgebra(f, len(keep), brackets,
+        return LieAlgebra(self.field, len(keep), brackets,
                           name=f"{self.name}/I" if self.name else "")
-        rows = []
-        for t in keep:
-            row = [f.zero] * self.dim
-            row[t] = f.one
-            for k, irow in row_of.items():
-                row[k] = f.neg(irow[t])
-            rows.append(tuple(row))
-        return quot, Hom(self, quot, Matrix(f, tuple(rows), self.dim))
-
-    def subalgebra_on(self, space: Subspace) -> "LieAlgebra":
-        """The algebra structure induced on a bracket-closed subspace,
-        in the subspace's canonical basis."""
-        m = space.dim
-        brackets: dict = {}
-        for a in range(m):
-            sa = {i: c for i, c in enumerate(space.basis[a]) if c != 0}
-            for b in range(a + 1, m):
-                sb = {i: c for i, c in enumerate(space.basis[b]) if c != 0}
-                sv = self.bracket_sparse(sa, sb)
-                if not sv:
-                    continue
-                coords = space.coordinates(self._densify(sv))
-                entry = {k: c for k, c in enumerate(coords) if c != 0}
-                if entry:
-                    brackets[(a, b)] = entry
-        return LieAlgebra(self.field, m, brackets)
 
     def same_table(self, other: "LieAlgebra") -> bool:
         """Structural equality: same field, dim, and bracket table."""
@@ -406,56 +379,6 @@ class StructuralProfile:
     is_maximal_class: bool
 
 
-class Hom:
-    """Linear map between Lie algebras, stored as a target x source matrix."""
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: LieAlgebra, target: LieAlgebra, matrix: Matrix):
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise ShapeError("hom matrix shape mismatch")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    def apply(self, v: Sequence) -> tuple:
-        return self.matrix.apply(v)
-
-    def column(self, k: int) -> tuple:
-        return self.matrix.column(k)
-
-    def image(self) -> Subspace:
-        return linalg.span(self.target.field, self.target.dim,
-                           [self.matrix.column(k) for k in range(self.source.dim)])
-
-    def kernel(self) -> Subspace:
-        return linalg.kernel(self.matrix)
-
-    def is_bracket_compatible(self) -> bool:
-        """phi([x, y]) == [phi(x), phi(y)] on all basis pairs."""
-        src, tgt = self.source, self.target
-        for i in range(src.dim):
-            fi = self.column(i)
-            for j in range(i + 1, src.dim):
-                lhs = self.apply(src._densify(src.bracket_basis(i, j)))
-                rhs = tgt.bracket(fi, self.column(j))
-                if lhs != rhs:
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class StemDecomposition:
-    """L = T + A with T a stem ideal containing L^2 and A a central abelian
-    direct factor; iso maps direct_sum(T, A) onto L."""
-
-    T: LieAlgebra
-    A: LieAlgebra
-    t_space: Subspace
-    a_space: Subspace
-    iso: Hom
-
-
 # ======================================================================
 # module-level operations
 # ======================================================================
@@ -484,7 +407,10 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
                     pairs: Sequence, name: str = "") -> tuple:
     """Glue a and b along central elements: quotient of a (+) b by the span of
     (x_i, -y_i) for each (x_i, y_i) in pairs.  A bare int stands for that
-    basis vector.  Returns (product, Hom from the direct sum onto it).
+    basis vector.  Returns (product, projection matrix from the direct sum
+    onto it).  The projection's column k is e_k at a coordinate k the
+    quotient keeps; at a pivot k of the glue ideal it is minus the ideal's
+    row with pivot k, read at the kept coordinates.
     """
     if a.field != b.field:
         raise ShapeError("central_product over different fields")
@@ -510,38 +436,20 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
     d = direct_sum(a, b)
     glue = [list(x) + [f.neg(c) for c in y] for x, y in zip(xs, ys)]
     ideal = linalg.span(f, d.dim, glue)
-    prod, proj = d.quotient(ideal)
+    prod = d.quotient(ideal)
     if name:
         prod.name = name
-    if prod.dim != a.dim + b.dim - len(pairs):
-        raise ShapeError("central_product has the wrong dimension")
-    return prod, proj
-
-
-def stem_decompose(L: LieAlgebra) -> StemDecomposition:
-    """Split nilpotent L as T (+) A with A an abelian direct summand chosen
-    inside the center, T a stem ideal containing L^2 (pivot-greedy rule)."""
-    if not L.is_nilpotent:
-        raise NotNilpotentError("stem decomposition needs a nilpotent algebra")
-    f = L.field
-    z = L.center()
-    derived = L.derived_subalgebra()
-    zl2 = linalg.subspace_intersect(z, derived)
-    a_space = linalg.complement_in(zl2, z)
-    t_space = linalg.extend_to_complement(derived, a_space)
-    T = L.subalgebra_on(t_space)
-    T.name = f"stem({L.name})" if L.name else ""
-    A = LieAlgebra(f, a_space.dim, {}, name=f"A({a_space.dim})")
-    d = direct_sum(T, A)
-    iso_matrix = Matrix(f, tuple(zip(*t_space.basis, *a_space.basis)),
-                        d.dim)
-    iso = Hom(d, L, iso_matrix)
-    # stem property: Z(T) inside T^2 (= L^2)
-    zt = T.center()
-    t_derived = T.derived_subalgebra()
-    if not t_derived.contains_subspace(zt):
-        raise ShapeError("stem decomposition failed the stem check")
-    return StemDecomposition(T=T, A=A, t_space=t_space, a_space=a_space, iso=iso)
+    row_of = dict(zip(ideal.pivots, ideal.basis))
+    rows = []
+    for t in range(d.dim):
+        if t in row_of:
+            continue
+        row = [f.zero] * d.dim
+        row[t] = f.one
+        for k, irow in row_of.items():
+            row[k] = f.neg(irow[t])
+        rows.append(tuple(row))
+    return prod, Matrix(f, tuple(rows), d.dim)
 
 
 def abelian(field: FieldSpec, n: int, name: str = "") -> LieAlgebra:

@@ -63,9 +63,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product (v has ncols entries)."""
         if len(v) != self.ncols:
@@ -255,13 +252,6 @@ class Subspace:
             return False
         return not any(any(self.reduce(row)) for row in other.basis)
 
-    def coordinates(self, v: Sequence) -> Vector:
-        """Coordinates of v in the canonical basis (v must lie in the span)."""
-        v = [self.field.coerce(x) for x in v]
-        if any(self.reduce(v)):
-            raise ShapeError("vector not in subspace")
-        return tuple(v[p] for p in self.pivots)
-
     def _check_mate(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
@@ -337,11 +327,6 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace(f, n, tuple(basis), tuple(free))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check_mate(b)
-    return _span_canonical(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by Zassenhaus block reduction: the reduced rows of
     [a | a] over [b | 0] whose left half vanishes span a cap b."""
@@ -367,30 +352,3 @@ def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
             rows.append(row)
             pivots.append(p)
     return Subspace(ambient.field, ambient.ambient_dim, tuple(rows), tuple(pivots))
-
-
-def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
-    """Smallest-index-greedy complement of `avoid` containing `seed`: seed
-    and the e_k that, tried in index order, enlarge span(seed + avoid + the
-    e_j kept so far).  Requires seed and avoid independent.
-
-    With W = seed + avoid, each earlier e_j is kept or already in the span,
-    so e_k is kept exactly when e_k is not in W + span(e_j : j < k), that
-    is, when no vector of W has its last nonzero coordinate at k.  In W
-    reduced with its columns reversed, a nonzero combination of echelon rows
-    starts at the least pivot of the rows it uses, so those last coordinates
-    are the reversed pivots.  One reduction finds every e_k kept, and a
-    second puts seed and them in canonical form.
-    """
-    seed._check_mate(avoid)
-    n = seed.ambient_dim
-    f = seed.field
-    _, pivots = rref_rows(f, [row[::-1] for row in seed.basis + avoid.basis])
-    if len(pivots) != seed.dim + avoid.dim:
-        raise ShapeError("extend_to_complement: seed meets avoid")
-    last = {n - 1 - p for p in pivots}
-    picked = coordinate_subspace(f, n, set(range(n)) - last).basis
-    result = _span_canonical(f, n, seed.basis + picked)
-    if result.dim != n - avoid.dim:
-        raise ShapeError("extend_to_complement: complement has wrong dimension")
-    return result

@@ -67,14 +67,6 @@ class HomologyReport:
     exterior_center: Subspace
     capable: bool
 
-    def to_json(self) -> dict:
-        return {
-            "dim_multiplier": self.dim_M,
-            "dim_exterior_square": self.dim_exterior_square,
-            "dim_exterior_center": self.exterior_center.dim,
-            "capable": self.capable,
-        }
-
 
 class DDResult(NamedTuple):
     """Both sides of the central-ideal multiplier bound, plus containment
@@ -270,7 +262,7 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     lhs = schur_multiplier_dim(L)
     quotient_wedge = L._cache.get(("quotient_wedge", I))
     if quotient_wedge is None:
-        quotient_wedge = exterior_square_dim(L.quotient(I)[0])
+        quotient_wedge = exterior_square_dim(L.quotient(I))
         L._cache[("quotient_wedge", I)] = quotient_wedge
     rhs = quotient_wedge - L.derived_subalgebra().dim
     contained = exterior_center(L).contains_subspace(I)

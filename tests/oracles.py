@@ -19,6 +19,12 @@ and R is an ideal, so induction on Hall-tree degree reduces the second
 factor.  The same induction, with [R, F] an ideal inside R, gives the
 exterior center from the generators.  `commutator_full_route` and
 `exterior_center_all_pairs` check both shortcuts against the whole cover.
+
+The module also keeps what the package no longer needs and the tests
+still read: `Hom`, a linear map with its image, kernel and bracket check;
+the stem decomposition L = T (+) A (`stem_decompose`, built with
+`extend_to_complement` and `subalgebra_on`), which checks the class-2
+rule's stem dimension; `subspace_sum` and `coordinates`.
 """
 
 import itertools
@@ -29,16 +35,17 @@ import numpy as np
 
 from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
 from liecap.freelie import FreeNilpotent, free_nilpotent
-from liecap.liealg import Hom, LieAlgebra, minimal_generators
+from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Matrix,
     Subspace,
     _span_canonical,
+    complement_in,
+    coordinate_subspace,
     kernel,
     rref_rows,
     span,
     subspace_intersect,
-    subspace_sum,
     zero_subspace,
 )
 from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
@@ -107,7 +114,7 @@ def upper_central_series_by_quotients(L):
         zi = series[-1]
         if zi.dim == L.dim:
             break
-        quot, proj = L.quotient(zi)
+        quot, proj = quotient_with_projection(L, zi)
         zq = quot.center()
         # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
         # Z(Q) vanishes
@@ -136,6 +143,13 @@ def quotient_projection_by_reduction(L, ideal) -> Matrix:
     cols = [ideal.reduce(L.basis_vector(k)) for k in range(L.dim)]
     return Matrix(L.field, tuple(tuple(cols[k][t] for k in range(L.dim))
                                  for t in keep), L.dim)
+
+
+def quotient_with_projection(L, ideal):
+    """(L/I, the projection L -> L/I as a Hom), the projection's matrix
+    from `quotient_projection_by_reduction`."""
+    quot = L.quotient(ideal)
+    return quot, Hom(L, quot, quotient_projection_by_reduction(L, ideal))
 
 
 def quotient_table_by_kept_pairs(L, ideal) -> dict:
@@ -170,11 +184,90 @@ def epicenter_test_dd_by_intersection(L, I) -> DDResult:
     lhs = schur_multiplier_dim(L)
     if I.is_zero:
         return DDResult(lhs=lhs, rhs=lhs, contained=True)
-    quotient_alg, _ = L.quotient(I)
+    quotient_alg = L.quotient(I)
     overlap = subspace_intersect(L.derived_subalgebra(), I).dim
     rhs = schur_multiplier_dim(quotient_alg) - overlap
     contained = exterior_center(L).contains_subspace(I)
     return DDResult(lhs=lhs, rhs=rhs, contained=contained)
+
+
+def coordinates(sub: Subspace, v: Sequence) -> tuple:
+    """Coordinates of v in sub's canonical basis (v must lie in the span),
+    its entries coerced into the field first."""
+    v = [sub.field.coerce(x) for x in v]
+    if any(sub.reduce(v)):
+        raise ShapeError("vector not in subspace")
+    return tuple(v[p] for p in sub.pivots)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    a._check_mate(b)
+    return _span_canonical(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
+
+
+class Hom:
+    """Linear map between Lie algebras, stored as a target x source matrix."""
+
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: LieAlgebra, target: LieAlgebra, matrix: Matrix):
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
+            raise ShapeError("hom matrix shape mismatch")
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+
+    def apply(self, v: Sequence) -> tuple:
+        return self.matrix.apply(v)
+
+    def column(self, k: int) -> tuple:
+        return tuple(r[k] for r in self.matrix.rows)
+
+    def image(self) -> Subspace:
+        return span(self.target.field, self.target.dim,
+                    [self.column(k) for k in range(self.source.dim)])
+
+    def kernel(self) -> Subspace:
+        return kernel(self.matrix)
+
+    def is_bracket_compatible(self) -> bool:
+        """phi([x, y]) == [phi(x), phi(y)] on all basis pairs."""
+        src, tgt = self.source, self.target
+        for i in range(src.dim):
+            fi = self.column(i)
+            for j in range(i + 1, src.dim):
+                lhs = self.apply(src._densify(src.bracket_basis(i, j)))
+                rhs = tgt.bracket(fi, self.column(j))
+                if lhs != rhs:
+                    return False
+        return True
+
+
+def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
+    """Smallest-index-greedy complement of `avoid` containing `seed`: seed
+    and the e_k that, tried in index order, enlarge span(seed + avoid + the
+    e_j kept so far).  Requires seed and avoid independent.
+
+    With W = seed + avoid, each earlier e_j is kept or already in the span,
+    so e_k is kept exactly when e_k is not in W + span(e_j : j < k), that
+    is, when no vector of W has its last nonzero coordinate at k.  In W
+    reduced with its columns reversed, a nonzero combination of echelon rows
+    starts at the least pivot of the rows it uses, so those last coordinates
+    are the reversed pivots.  One reduction finds every e_k kept, and a
+    second puts seed and them in canonical form.
+    """
+    seed._check_mate(avoid)
+    n = seed.ambient_dim
+    f = seed.field
+    _, pivots = rref_rows(f, [row[::-1] for row in seed.basis + avoid.basis])
+    if len(pivots) != seed.dim + avoid.dim:
+        raise ShapeError("extend_to_complement: seed meets avoid")
+    last = {n - 1 - p for p in pivots}
+    picked = coordinate_subspace(f, n, set(range(n)) - last).basis
+    result = _span_canonical(f, n, seed.basis + picked)
+    if result.dim != n - avoid.dim:
+        raise ShapeError("extend_to_complement: complement has wrong dimension")
+    return result
 
 
 def extend_to_complement_greedy(seed: Subspace, avoid: Subspace) -> Subspace:
@@ -201,6 +294,55 @@ def extend_to_complement_greedy(seed: Subspace, avoid: Subspace) -> Subspace:
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result
+
+
+def subalgebra_on(L: LieAlgebra, space: Subspace) -> LieAlgebra:
+    """The algebra structure induced on a bracket-closed subspace of L,
+    in the subspace's canonical basis."""
+    m = space.dim
+    brackets: dict = {}
+    for a in range(m):
+        sa = {i: c for i, c in enumerate(space.basis[a]) if c != 0}
+        for b in range(a + 1, m):
+            sb = {i: c for i, c in enumerate(space.basis[b]) if c != 0}
+            sv = L.bracket_sparse(sa, sb)
+            if not sv:
+                continue
+            coords = coordinates(space, L._densify(sv))
+            entry = {k: c for k, c in enumerate(coords) if c != 0}
+            if entry:
+                brackets[(a, b)] = entry
+    return LieAlgebra(L.field, m, brackets)
+
+
+@dataclass(frozen=True)
+class StemDecomposition:
+    """L = T + A with T a stem ideal containing L^2 and A a central abelian
+    direct factor; iso maps direct_sum(T, A) onto L."""
+
+    T: LieAlgebra
+    A: LieAlgebra
+    iso: Hom
+
+
+def stem_decompose(L: LieAlgebra) -> StemDecomposition:
+    """Split nilpotent L as T (+) A with A an abelian direct summand chosen
+    inside the center, T a stem ideal containing L^2 (pivot-greedy rule)."""
+    if not L.is_nilpotent:
+        raise NotNilpotentError("stem decomposition needs a nilpotent algebra")
+    z, derived = L.center(), L.derived_subalgebra()
+    a_space = complement_in(subspace_intersect(z, derived), z)
+    t_space = extend_to_complement(derived, a_space)
+    T = subalgebra_on(L, t_space)
+    T.name = f"stem({L.name})" if L.name else ""
+    A = LieAlgebra(L.field, a_space.dim, {}, name=f"A({a_space.dim})")
+    d = direct_sum(T, A)
+    iso = Hom(d, L, Matrix(L.field, tuple(zip(*t_space.basis,
+                                               *a_space.basis)), d.dim))
+    # stem property: Z(T) inside T^2 (= L^2)
+    if not T.derived_subalgebra().contains_subspace(T.center()):
+        raise ShapeError("stem decomposition failed the stem check")
+    return StemDecomposition(T=T, A=A, iso=iso)
 
 
 # ----------------------------------------------------------------------

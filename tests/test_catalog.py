@@ -2,14 +2,12 @@
 random sampler."""
 
 import pytest
-from fractions import Fraction
 
 from liecap import GF2, GF3, GF5, QQ
 from liecap.errors import FieldError, ScopeError
 from liecap.catalog import (
     CATALOG,
     build,
-    catalog_names,
     eps_values,
     random_gen_heisenberg,
     standard_instances,
@@ -21,7 +19,7 @@ from liecap.catalog import (
 # ----------------------------------------------------------------------
 
 def test_catalog_names_cover_expected_families():
-    names = set(catalog_names())
+    names = set(CATALOG)
     assert {"A", "H", "L4_3", "L5_5", "L5_7", "L5_8", "L6_10", "L6_13",
             "L6_22", "L6_7_2", "L27A", "L27B"} <= names
 

@@ -9,7 +9,6 @@ from liecap.freelie import (
     free_dimension,
     free_nilpotent,
     hall_basis,
-    normalize_bracket,
     tree_degree,
     witt_dimension,
 )
@@ -71,16 +70,15 @@ def test_hall_basis_ordered_by_degree():
 
 def test_reversed_generator_bracket_is_negated_hall_element():
     F = free_nilpotent(2, 2, QQ)
-    fwd = normalize_bracket(F, 0, 1)
-    rev = normalize_bracket(F, 1, 0)
-    assert fwd == (0, 0, 1)
-    assert rev == (0, 0, -1)
+    assert F.index[(0, 1)] == 2
+    assert F.algebra.bracket_basis(0, 1) == {2: 1}
+    assert F.algebra.bracket_basis(1, 0) == {2: -1}
 
 
 def test_brackets_beyond_class_truncate_to_zero():
     F = free_nilpotent(2, 2, QQ)
     # degree 1 + degree 2 = degree 3 > c = 2
-    assert normalize_bracket(F, 0, (0, 1)) == (0, 0, 0)
+    assert F.algebra.bracket_basis(0, F.index[(0, 1)]) == {}
 
 
 def test_degree_three_brackets_span_independently():

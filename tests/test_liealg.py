@@ -15,15 +15,18 @@ from liecap.liealg import (
     central_product,
     direct_sum,
     minimal_generators,
-    stem_decompose,
 )
 from liecap.linalg import zero_subspace
 from liecap.catalog import build, standard_instances
 
 from oracles import (
+    Hom,
     bracket_subspaces_all_pairs,
     jacobi_violations_all_triples,
     lower_central_series_loop,
+    quotient_with_projection,
+    stem_decompose,
+    subalgebra_on,
 )
 
 FIELDS = (QQ, GF2, GF3, GF5)
@@ -109,6 +112,19 @@ def test_size_guard_rejects_dimension_past_the_guard():
 def test_bracket_of_paired_generators_is_central_element():
     H = build("H", QQ, m=1)
     assert H.bracket(H.basis_vector(0), H.basis_vector(1)) == (0, 0, 1)
+
+
+def test_basis_vector_rejects_an_index_out_of_range():
+    # a central_product glue index goes through basis_vector too
+    H = build("H", QQ, m=1)
+    assert H.basis_vector(2) == (0, 0, 1)
+    for bad in (7, -1):
+        message = f"^basis index {bad} out of range for dim 3$"
+        with pytest.raises(ShapeError, match=message):
+            H.basis_vector(bad)
+        for pair in ((bad, 2), (2, bad)):
+            with pytest.raises(ShapeError, match=message):
+                central_product(H, H, [pair])
 
 
 def test_bracket_is_alternating():
@@ -299,7 +315,7 @@ def test_profile_central_abelian_summand_breaks_stem():
 
 def test_quotient_of_five_dim_by_top_line_gives_four_dim_chain():
     L = build("L5_7", QQ)
-    Q, proj = L.quotient(span(QQ, 5, [[0, 0, 0, 0, 1]]))
+    Q, proj = quotient_with_projection(L, span(QQ, 5, [[0, 0, 0, 0, 1]]))
     assert Q.same_table(build("L4_3", QQ))
     assert proj.is_bracket_compatible()
     assert proj.kernel().dim == 1
@@ -307,13 +323,13 @@ def test_quotient_of_five_dim_by_top_line_gives_four_dim_chain():
 
 def test_quotient_by_whole_algebra_is_zero():
     L = build("H", GF2, m=1)
-    Q, _ = L.quotient(L.full_space())
+    Q = L.quotient(L.full_space())
     assert Q.dim == 0 and Q.table == {}
 
 
 def test_quotient_of_six_dim_by_top_line_gives_five_dim_chain():
     L = build("L6_13", QQ)
-    Q, proj = L.quotient(span(QQ, 6, [[0, 0, 0, 0, 0, 1]]))
+    Q, proj = quotient_with_projection(L, span(QQ, 6, [[0, 0, 0, 0, 0, 1]]))
     assert Q.same_table(build("L5_5", QQ))
     assert proj.is_bracket_compatible()
 
@@ -333,7 +349,7 @@ def test_quotient_by_wrong_ambient_rejected():
 def test_quotient_projection_kills_exactly_the_ideal():
     L = build("L6_10", GF3)
     ideal = span(GF3, 6, [[0, 0, 0, 0, 0, 1]])
-    Q, proj = L.quotient(ideal)
+    Q, proj = quotient_with_projection(L, ideal)
     assert proj.kernel().basis == ideal.basis
     assert proj.image().dim == Q.dim
 
@@ -343,7 +359,7 @@ def test_quotient_by_non_pivot_line_uses_complement_coordinates():
     # coordinates are the standard vectors at the line's non-pivot columns
     # (a, b, w), and [a, b] = z = -w modulo the line.
     L = direct_sum(build("H", QQ, m=1), abelian(QQ, 1))
-    Q, proj = L.quotient(span(QQ, 4, [[0, 0, 1, 1]]))
+    Q, proj = quotient_with_projection(L, span(QQ, 4, [[0, 0, 1, 1]]))
     assert Q.dim == 3
     assert proj.is_bracket_compatible()
     assert Q.table == {(0, 1): {2: Fraction(-1)}}
@@ -394,7 +410,7 @@ def test_central_product_of_two_heisenbergs_is_rank_one_of_higher_genus():
     H1 = build("H", QQ, m=1)
     prod, proj = central_product(H1, H1, [(2, 2)])
     assert prod.same_table(build("H", QQ, m=2))
-    assert proj.is_bracket_compatible()
+    assert Hom(direct_sum(H1, H1), prod, proj).is_bracket_compatible()
 
 
 def test_central_product_chain_with_heisenberg():
@@ -481,7 +497,7 @@ def test_minimal_generator_count_abelian():
 
 def test_subalgebra_on_derived_subalgebra():
     L = build("L4_3", QQ)
-    sub = L.subalgebra_on(L.derived_subalgebra())
+    sub = subalgebra_on(L, L.derived_subalgebra())
     assert sub.dim == 2
     assert sub.table == {}  # second derived vanishes for this chain
 
@@ -489,7 +505,7 @@ def test_subalgebra_on_derived_subalgebra():
 def test_subalgebra_on_non_closed_space_rejected():
     L = build("L4_3", QQ)
     with pytest.raises(ShapeError):
-        L.subalgebra_on(span(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+        subalgebra_on(L, span(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
 
 
 def test_same_table_distinguishes_fields_and_scalars():

@@ -23,9 +23,10 @@ with catalog algebras plus A(k) on either side, check the center, the
 upper central series and the minimal generators against the routes the
 package used before they were read off one reduction: quotient algebras
 for the series, and `complement_in` for the generators.  The quotient's
-projection and the central-ideal bound, both read off the ideal's rows and
-the quotient, are compared with the routes kept in `oracles`: each e_k
-reduced mod I, and dim M(L/I) - dim(L^2 cap I) by intersection.  The
+table, the projection `central_product` reads off its glue ideal's rows,
+and the central-ideal bound, read off the quotient, are compared with the
+routes kept in `oracles`: the kept pairs bracketed, each e_k reduced mod
+the ideal, and dim M(L/I) - dim(L^2 cap I) by intersection.  The
 bound's cache of dim (L/I)^(L/I) is checked the same way: an ideal given
 again by another spanning set matches the oracle on a fresh algebra, the
 quotient is built once per canonical ideal, and every call still checks
@@ -58,9 +59,9 @@ from liecap.freelie import DEFAULT_MAX_DIM, free_dimension, free_nilpotent
 from liecap.liealg import (
     LieAlgebra,
     abelian,
+    central_product,
     direct_sum,
     minimal_generators,
-    stem_decompose,
 )
 from liecap.linalg import (
     Matrix,
@@ -316,7 +317,7 @@ def _top_degree_quotients(draw):
         for i, a in zip(top, cs):
             row[i] = a
         rows.append(row)
-    L, _ = F.algebra.quotient(span(f, F.dim, rows))
+    L = F.algebra.quotient(span(f, F.dim, rows))
     return L
 
 
@@ -352,8 +353,8 @@ def assert_canonical(m):
 
 def test_library_built_matrices_are_canonical(monkeypatch):
     # every matrix handed to kernel(): the exterior-center constraints, the
-    # centers and the upper central series; and the presentation oracle's
-    # projection and section
+    # centers and the upper central series; the projection `central_product`
+    # returns; and the presentation oracle's projection and section
     handed = []
 
     def recording(m):
@@ -375,9 +376,9 @@ def test_library_built_matrices_are_canonical(monkeypatch):
             exterior_center(copy)
             assert handed, (f, L.name)
             copy.upper_central_series()
-            built = [pres.pi.matrix, pres.section,
-                     copy.quotient(copy.center())[1].matrix,
-                     stem_decompose(copy).iso.matrix] + handed
+            z = copy.center().basis[0]
+            _, proj = central_product(copy, copy, [(z, z)])
+            built = [pres.pi.matrix, pres.section, proj] + handed
             for m in built:
                 assert_canonical(m)
 
@@ -542,7 +543,7 @@ def _rebased(draw):
            for j in range(n)] for i in range(n)]
     P = Matrix.from_rows(f, [lu[perm[i]] for i in range(n)], ncols=n)
     Pinv = solve_right_inverse(P)
-    cols = [P.column(a) for a in range(n)]
+    cols = list(zip(*P.rows))
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -706,12 +707,6 @@ def test_homology_report_is_coherent_and_repeatable():
     assert rep == homology(L)
     assert rep.dim_exterior_square == rep.dim_M + L.derived_subalgebra().dim
     assert rep.capable == rep.exterior_center.is_zero
-    assert rep.to_json() == {
-        "dim_multiplier": rep.dim_M,
-        "dim_exterior_square": rep.dim_exterior_square,
-        "dim_exterior_center": rep.exterior_center.dim,
-        "capable": rep.capable,
-    }
 
 
 def test_homology_of_zero_algebra():
@@ -732,7 +727,7 @@ def test_zero_algebra_takes_the_general_path(f):
     assert _wedge(L).col == {} and _wedge(L).blocks == {}
     assert epicenter_test_dd(L, zero) == epicenter_test_dd_by_intersection(
         L, zero) == (0, 0, True)
-    assert L.quotient(zero)[0].table == quotient_table_by_kept_pairs(
+    assert L.quotient(zero).table == quotient_table_by_kept_pairs(
         L, zero) == {}
 
 
@@ -816,22 +811,52 @@ def _ideal_cases(draw):
                span(f, n, [draw(nonzero(n))]), zero_subspace(f, n))
 
 
+@st.composite
+def _central_glues(draw):
+    """(a, b, pairs): two catalog algebras over Q, GF(2) or GF(3), glued
+    along k <= 2 pairs of random central vectors, independent on each
+    side."""
+    f = draw(st.sampled_from([QQ, GF2, GF3]))
+    a, b = (draw(st.sampled_from(standard_instances(f))) for _ in "ab")
+    k = draw(st.integers(1, min(2, a.center().dim, b.center().dim)))
+    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
+
+    def central(L):
+        z = L.center().basis
+        rows = st.lists(st.lists(entry, min_size=len(z), max_size=len(z)),
+                        min_size=k, max_size=k)
+        cs = draw(rows.filter(lambda cs: span(f, len(z), cs).dim == k))
+        return [[sum(c * row[t] for c, row in zip(r, z)) for t in range(L.dim)]
+                for r in cs]
+
+    return a, b, list(zip(central(a), central(b)))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_ideal_cases())
-def test_quotient_and_bound_match_the_parent_routes(case):
-    """The projection read off I's rows against e_k reduced mod I, the
-    quotient's table from L's table against the kept pairs bracketed, and
-    the bound's right side read off the quotient against dim M(L/I) -
-    dim(L^2 cap I) by intersection, errors included."""
+@given(_ideal_cases(), _central_glues())
+def test_quotient_and_bound_match_the_parent_routes(case, glued):
+    """The quotient's table from L's table against the kept pairs
+    bracketed, its errors against the reduction oracle's, the bound's right
+    side read off the quotient against dim M(L/I) - dim(L^2 cap I) by
+    intersection, errors included; and the projection `central_product`
+    reads off the glue ideal's rows against each e_k reduced mod that
+    ideal."""
     L, subspaces = case
     for I in subspaces:
-        assert repr(_outcome(lambda: L.quotient(I)[1].matrix)) == repr(
-            _outcome(quotient_projection_by_reduction, L, I))
-        table = _outcome(lambda: L.quotient(I)[0].table)
-        if isinstance(table, dict):
+        want = _outcome(quotient_projection_by_reduction, L, I)
+        table = _outcome(lambda: L.quotient(I).table)
+        if isinstance(want, Matrix):
             assert table == quotient_table_by_kept_pairs(L, I)
+        else:
+            assert table == want
         assert _outcome(epicenter_test_dd, L, I) == _outcome(
             epicenter_test_dd_by_intersection, L, I)
+    a, b, pairs = glued
+    d = direct_sum(a, b)
+    glue = span(d.field, d.dim, [x + [-c for c in y] for x, y in pairs])
+    prod, proj = central_product(a, b, pairs)
+    assert proj == quotient_projection_by_reduction(d, glue)
+    assert prod.table == quotient_table_by_kept_pairs(d, glue)
 
 
 @st.composite

@@ -28,7 +28,7 @@ from liecap.classify import (
 )
 from liecap.cli import algebra_to_doc, doc_text
 from liecap.freelie import free_nilpotent, witt_dimension
-from liecap.liealg import central_product, direct_sum
+from liecap.liealg import central_product
 from liecap.linalg import subspace_intersect
 from liecap.schur import (
     epicenter_test_dd,

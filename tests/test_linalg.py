@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecap import (
-    GF2, GF3, GF5, QQ, FieldSpec, Matrix, Subspace, kernel, span,
+    GF2, GF3, GF5, QQ, FieldSpec, Matrix, kernel, span,
 )
 from liecap import linalg
 from liecap.errors import ShapeError

@@ -39,8 +39,8 @@ class LieAlgebra:
 
     `_cache` keeps data derived from the table for the algebra's lifetime.
     Cache keys: `derived`, `center`, `degrees` and `lcs` (here), `wedge`,
-    `exterior_center` and (`quotient_wedge`, I) per central ideal I
-    (schur).
+    `exterior_center`, `center_residuals` and (`bound`, I) per central
+    ideal I (schur).
     """
 
     __slots__ = ("field", "dim", "table", "name", "_cache")
@@ -293,7 +293,6 @@ class LieAlgebra:
         if not derived.is_zero and derived == z:
             ghrank = derived.dim
         return StructuralProfile(
-            is_abelian=derived.is_zero,
             is_nilpotent=nilpotent,
             nilpotency_class=cls,
             is_stem=derived.contains_subspace(z),
@@ -371,7 +370,6 @@ class JacobiReport:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    is_abelian: bool
     is_nilpotent: bool
     nilpotency_class: Optional[int]
     is_stem: bool

@@ -140,7 +140,8 @@ def _q_rows_to_int(rows: Iterable[Sequence]) -> list:
             d = x.denominator
             if d != 1:
                 denom = denom * d // math.gcd(denom, d)
-        irow = [int(x * denom) if denom != 1 else x.numerator for x in row]
+        irow = ([x.numerator for x in row] if denom == 1 else
+                [x.numerator * (denom // x.denominator) for x in row])
         _primitive(irow)
         out.append(irow)
     return out

@@ -40,6 +40,20 @@ span(x_l) + L^2.  That is d*n constraints, not n^2.  When graded, both
 kinds of constraint are homogeneous, so the kernel is taken separately
 for the z of each degree.
 
+Central-ideal bound without a quotient.  For an ideal I, Lambda^2 (L/I)
+is Lambda^2 L modulo L ^ I = span{x ^ v : v in I}, and J(L/I) is the
+image of J, so (L/I)^(L/I) = Lambda^2 L / (J + L ^ I).  That is the
+right-exact sequence L ^ I -> L ^ L -> (L/I)^(L/I) -> 0 (Ellis, J. Pure
+Appl. Algebra 46, 1987): dim (L/I)^(L/I) = dim L ^ L - r, with r the rank
+of L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
+L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
+residuals of x_l ^ v mod J over the generators x_l and the rows v of I.
+A generator of a graded basis has degree 1, so every such pair has
+degree <= c+1 and is a column of its block; none lies past the cut.  The
+residuals of zeta ^ x_l, for the rows zeta of Z(L), are taken once per
+algebra; the rows of a central I are combinations of them, with I's
+entries at Z's pivots as coefficients, and r is one small reduction.
+
 Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
 when ungraded), may number at most DEFAULT_MAX_DIM: F(7,3) needs 1162,
 H(34) 2346.  They are counted from the degrees' histogram, before any pair
@@ -207,6 +221,70 @@ def _exterior_center_wedge(L: LieAlgebra) -> Subspace:
                     tuple(p for p, _ in found))
 
 
+def _center_residuals(L: LieAlgebra) -> tuple:
+    """(width, Z pivots, residuals), cached on L: the residual of
+    zeta_k ^ x_l mod J for each row zeta_k of Z(L) and each generator x_l,
+    as residuals[l][k], a sparse row over the columns of L ^ L.  Those are
+    the pair columns that are no J pivot, counted across the blocks, so
+    width = dim L ^ L."""
+    cached = L._cache.get("center_residuals")
+    if cached is not None:
+        return cached
+    f = L.field
+    w = _wedge(L)
+    pivot_row = {t: dict(zip(J.pivots, J.basis)) for t, J in w.blocks.items()}
+    free: dict = {}
+    for (i, j), c in w.col.items():
+        t = w.deg[i] + w.deg[j]
+        if c not in pivot_row.get(t, {}):
+            free[(t, c)] = len(free)
+    Z = L.center()
+    residuals = []
+    for l in minimal_generators(L).pivots:
+        per_l = []
+        for zeta in Z.basis:
+            res: dict = {}
+            for t, x in enumerate(zeta):
+                if x == 0 or t == l:
+                    continue
+                # x e_t ^ e_l read off its block as in _exterior_center_wedge
+                b = w.deg[t] + w.deg[l]
+                q = w.col[(t, l) if t < l else (l, t)]
+                sx = x if t < l else f.neg(x)
+                row = pivot_row.get(b, {}).get(q)
+                terms = ([(q, sx)] if row is None else
+                         [(c, f.neg(f.mul(sx, y))) for c, y in enumerate(row)
+                          if y != 0 and c != q])
+                for c, y in terms:
+                    i = free[(b, c)]
+                    res[i] = f.add(res.get(i, f.zero), y)
+            per_l.append({i: y for i, y in res.items() if y != 0})
+        residuals.append(per_l)
+    cached = (len(free), Z.pivots, residuals)
+    L._cache["center_residuals"] = cached
+    return cached
+
+
+def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
+    """dim of the image of L ^ I in L ^ L, for a central ideal I: the rank
+    of the residuals of v ^ x_l mod J over the rows v of I and the
+    generators x_l.  I lies in Z(L), so each v is the combination of Z's
+    rows with v's entries at Z's pivots as coefficients."""
+    f = L.field
+    width, pivots, residuals = _center_residuals(L)
+    rows = []
+    for v in I.basis:
+        coeffs = [(v[p], k) for k, p in enumerate(pivots) if v[p] != 0]
+        for per_l in residuals:
+            row = [f.zero] * width
+            for x, k in coeffs:
+                for i, y in per_l[k].items():
+                    row[i] = f.add(row[i], f.mul(x, y))
+            if any(row):
+                rows.append(row)
+    return _span_canonical(f, width, rows).dim
+
+
 # ======================================================================
 # invariants
 # ======================================================================
@@ -251,19 +329,26 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     side is dim (L/I)^(L/I) - dim (L/I)^2 - (dim L^2 - dim (L/I)^2),
     that is dim (L/I)^(L/I) - dim L^2.
 
-    dim (L/I)^(L/I) is cached on L under ("quotient_wedge", I): I is a
-    canonical Subspace, so two spanning sets of one ideal share the key,
-    and its field is part of the key.  The ambient and centrality checks
-    and the containment test run on every call."""
+    No quotient algebra is built.  L ^ I -> L ^ L -> (L/I)^(L/I) -> 0 is
+    exact (Ellis), so dim (L/I)^(L/I) = dim L ^ L - r, with r the rank of
+    L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
+    L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
+    residuals of x_l ^ v mod J over the generators x_l and the rows v of
+    I.  Since dim M(L) = dim L ^ L - dim L^2, the right side is lhs - r.
+
+    (r, containment of I in Z^(L)) is cached on L under ("bound", I): I
+    is a canonical Subspace, so two spanning sets of one ideal share the
+    key, and its field is part of the key.  The ambient and centrality
+    checks run on every call."""
     if I.ambient_dim != L.dim:
         raise ShapeError("ideal lives in the wrong space")
     if not L.center().contains_subspace(I):
         raise NotIdealError("ideal is not central")
     lhs = schur_multiplier_dim(L)
-    quotient_wedge = L._cache.get(("quotient_wedge", I))
-    if quotient_wedge is None:
-        quotient_wedge = exterior_square_dim(L.quotient(I))
-        L._cache[("quotient_wedge", I)] = quotient_wedge
-    rhs = quotient_wedge - L.derived_subalgebra().dim
-    contained = exterior_center(L).contains_subspace(I)
-    return DDResult(lhs=lhs, rhs=rhs, contained=contained)
+    cached = L._cache.get(("bound", I))
+    if cached is None:
+        cached = (_central_wedge_rank(L, I),
+                  exterior_center(L).contains_subspace(I))
+        L._cache[("bound", I)] = cached
+    rank, contained = cached
+    return DDResult(lhs=lhs, rhs=lhs - rank, contained=contained)

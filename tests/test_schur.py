@@ -24,13 +24,14 @@ upper central series and the minimal generators against the routes the
 package used before they were read off one reduction: quotient algebras
 for the series, and `complement_in` for the generators.  The quotient's
 table, the projection `central_product` reads off its glue ideal's rows,
-and the central-ideal bound, read off the quotient, are compared with the
-routes kept in `oracles`: the kept pairs bracketed, each e_k reduced mod
-the ideal, and dim M(L/I) - dim(L^2 cap I) by intersection.  The
-bound's cache of dim (L/I)^(L/I) is checked the same way: an ideal given
-again by another spanning set matches the oracle on a fresh algebra, the
-quotient is built once per canonical ideal, and every call still checks
-its input.
+and the central-ideal bound, read off L's own exterior square as
+dim M(L) - rank(L ^ I mod J), are compared with the routes kept in
+`oracles`: the kept pairs bracketed, each e_k reduced mod the ideal, and
+dim M(L/I) - dim(L^2 cap I) from the quotient algebra and an
+intersection, on graded and rebased bases.  The bound's cache is checked
+the same way: an ideal given again by another spanning set matches the
+oracle on a fresh algebra, no quotient is built, the rank is taken once
+per canonical ideal, and every call still checks its input.
 """
 
 import pytest
@@ -792,10 +793,11 @@ def _outcome(fn, *args):
 @st.composite
 def _ideal_cases(draw):
     """(L, subspaces): L a catalog algebra with A(k), k <= 2, on either
-    side; the subspaces a random central line or plane, a nonzero lower
-    central series term, a random line of L, often not an ideal, and the
-    zero ideal."""
-    L = draw(_abelian_sums())
+    side, or a catalog algebra on a basis where degrees() is None; the
+    subspaces a random central line or plane, a nonzero lower central
+    series term, a random line of L, often not an ideal, and the zero
+    ideal."""
+    L = draw(st.one_of(_abelian_sums(), _rebased().map(lambda c: c[2])))
     f, n = L.field, L.dim
     entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
 
@@ -898,20 +900,29 @@ def test_bound_on_a_respanned_ideal_matches_a_fresh_algebra(case):
             fresh = LieAlgebra(L.field, L.dim, L.table, L.name)
             assert epicenter_test_dd(L, J) == \
                 epicenter_test_dd_by_intersection(fresh, J), (L.name, J)
-        assert type(L._cache[("quotient_wedge", I)]) is int
+        dd = epicenter_test_dd(L, I)
+        assert L._cache[("bound", I)] == (dd.lhs - dd.rhs, dd.contained)
 
 
-def test_quotient_is_built_once_per_canonical_ideal(monkeypatch):
+def test_bound_builds_no_quotient_and_ranks_once_per_canonical_ideal(
+        monkeypatch):
     """Every central line of H(1) + A(2) over GF(3), each given by both
-    its nonzero multiples: L.quotient runs once per line, 13 of 26 calls."""
-    calls = []
+    its nonzero multiples: L.quotient runs in none of the 26 calls, and the
+    rank of L ^ I mod J is taken once per line, 13 times."""
+    quotients, ranks = [], []
     quotient = LieAlgebra.quotient
+    rank = schur._central_wedge_rank
 
-    def counted(self, ideal):
-        calls.append(ideal)
+    def counted_quotient(self, ideal):
+        quotients.append(ideal)
         return quotient(self, ideal)
 
-    monkeypatch.setattr(LieAlgebra, "quotient", counted)
+    def counted_rank(L, I):
+        ranks.append(I)
+        return rank(L, I)
+
+    monkeypatch.setattr(LieAlgebra, "quotient", counted_quotient)
+    monkeypatch.setattr(schur, "_central_wedge_rank", counted_rank)
     L = direct_sum(build("H", GF3, m=1), abelian(GF3, 2))
     z = L.center().basis
     lines = [span(GF3, L.dim, [[sum(c * row[t] for c, row in zip(cs, z))
@@ -921,7 +932,8 @@ def test_quotient_is_built_once_per_canonical_ideal(monkeypatch):
     for I in lines:
         results.setdefault(I, set()).add(epicenter_test_dd(L, I))
     assert len(lines) == 26 and len(results) == 13
-    assert len(calls) == 13
+    assert quotients == []
+    assert len(ranks) == 13 and set(ranks) == set(results)
     assert all(len(r) == 1 for r in results.values())
 
 

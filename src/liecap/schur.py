@@ -223,10 +223,10 @@ def _exterior_center_wedge(L: LieAlgebra) -> Subspace:
 
 def _center_residuals(L: LieAlgebra) -> tuple:
     """(width, Z pivots, residuals), cached on L: the residual of
-    zeta_k ^ x_l mod J for each row zeta_k of Z(L) and each generator x_l,
-    as residuals[l][k], a sparse row over the columns of L ^ L.  Those are
-    the pair columns that are no J pivot, counted across the blocks, so
-    width = dim L ^ L."""
+    zeta_k ^ x_l mod J for each row zeta_k of Z(L) and the l-th generator
+    x_l, as residuals[l][k], a sparse row over the columns of L ^ L.  Those
+    are the pair columns that are not J pivots, counted across the blocks,
+    so width = dim L ^ L."""
     cached = L._cache.get("center_residuals")
     if cached is not None:
         return cached

@@ -500,6 +500,7 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
     violations = 0
     checked = 0
     for idx, L in enumerate(algebras):
+        derived = L.derived_subalgebra()
         lines = []
         z = L.center()
         for row in z.basis:
@@ -511,8 +512,11 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
                 lines.append(line)
         for line in lines:
             dd = schur.epicenter_test_dd(L, line)
+            # the right side again, through the quotient algebra
+            rhs = (schur.schur_multiplier_dim(L.quotient(line))
+                   - subspace_intersect(derived, line).dim)
             checked += 1
-            if not dd.consistent:
+            if not dd.consistent or dd.rhs != rhs:
                 violations += 1
     report.add(sec, f"{lab}/all-catalog",
                "multiplier bound for central lines, equality iff inside "

@@ -39,7 +39,7 @@ class LieAlgebra:
 
     `_cache` keeps data derived from the table for the algebra's lifetime.
     Cache keys: `derived`, `center`, `degrees` and `lcs` (here), `wedge`,
-    `exterior_center`, `center_residuals` and (`bound`, I) per central
+    `exterior_center`, `generator_residuals` and (`bound`, I) per central
     ideal I (schur).
     """
 

@@ -31,13 +31,23 @@ code with every degree 0: one block and no cut.
 Exterior center from the generators.  With x_l the basis of
 minimal_generators(L),
 
-    Z^(L) = {z : [z, x_l] = 0 and z ^ x_l in J for every l}.
+    Z^(L) = {z : z ^ x_l in J for every l}.
 
-Z^(L) lies in Z(L), so it is inside the right side.  Conversely, ad z is
-a derivation, so [z, x_l] = 0 for every generator makes z central; for
-central z, d3(a ^ b ^ z) = [a,b] ^ z puts z ^ L^2 inside J, and L is
-span(x_l) + L^2.  That is d*n constraints, not n^2.  When graded, both
-kinds of constraint are homogeneous, so the kernel is taken separately
+Z^(L) is inside the right side.  Conversely, the commutator map
+Lambda^2 L -> L^2, x ^ y -> [x,y], sends J to 0: it takes d3(x ^ y ^ z)
+to [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 (Jacobi).  So z ^ x_l in J gives
+[z, x_l] = 0 for every l, and z is central, since ad z is a derivation
+and the x_l generate L.  For central z, d3(a ^ b ^ z) = [a,b] ^ z puts
+z ^ L^2 inside J, and L is span(x_l) + L^2.  That is d*n pairs to
+reduce, not n^2.  A generator of a graded basis has degree 1, so every
+pair e_t ^ x_l has degree <= c+1 and is a column of its block; none lies
+past the cut.
+
+One table, res[l][t] = the residual of e_t ^ x_l mod J for each basis
+index t and generator x_l, as sparse rows over the pair columns that are
+not J pivots (so its width is dim L ^ L), serves both of the answers
+below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l.  When
+graded, J and the x_l are homogeneous, so the kernel is taken separately
 for the z of each degree.
 
 Central-ideal bound without a quotient.  For an ideal I, Lambda^2 (L/I)
@@ -47,12 +57,8 @@ right-exact sequence L ^ I -> L ^ L -> (L/I)^(L/I) -> 0 (Ellis, J. Pure
 Appl. Algebra 46, 1987): dim (L/I)^(L/I) = dim L ^ L - r, with r the rank
 of L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
 L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
-residuals of x_l ^ v mod J over the generators x_l and the rows v of I.
-A generator of a graded basis has degree 1, so every such pair has
-degree <= c+1 and is a column of its block; none lies past the cut.  The
-residuals of zeta ^ x_l, for the rows zeta of Z(L), are taken once per
-algebra; the rows of a central I are combinations of them, with I's
-entries at Z's pivots as coefficients, and r is one small reduction.
+residuals of v ^ x_l mod J over the generators x_l and the rows v of I:
+the rows sum_t v_t res[l][t] of the same table, one small reduction.
 
 Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
 when ungraded), may number at most DEFAULT_MAX_DIM: F(7,3) needs 1162,
@@ -174,111 +180,62 @@ def _wedge(L: LieAlgebra) -> _Wedge:
     return cached
 
 
-def _exterior_center_wedge(L: LieAlgebra) -> Subspace:
-    """Z^(L) from the generators x_l, by the degree of z: one constraint
-    row per (l, column of the residual of z ^ x_l) and per (l, coordinate
-    of [z, x_l])."""
-    f, n = L.field, L.dim
-    w = _wedge(L)
-    deg = w.deg
-    pivot_row = {t: dict(zip(J.pivots, J.basis)) for t, J in w.blocks.items()}
-    gens = minimal_generators(L).pivots
-    by_degree: dict = {}
-    for t in range(n):
-        by_degree.setdefault(deg[t], []).append(t)
-    found = []  # (pivot, vector) of every Z^ basis vector, all degrees
-    for ts in by_degree.values():
-        rows: dict = {}
-
-        def put(key, a, x):
-            if key not in rows:
-                rows[key] = [f.zero] * len(ts)
-            rows[key][a] = x
-
-        for a, t in enumerate(ts):
-            for l in gens:
-                if l == t:
-                    continue
-                q = w.col[(t, l) if t < l else (l, t)]
-                row = pivot_row.get(deg[t] + deg[l], {}).get(q)
-                if row is None:
-                    put((l, 0, q), a, f.one if t < l else f.neg(f.one))
-                else:
-                    for c, x in enumerate(row):
-                        if x != 0 and c != q:
-                            put((l, 0, c), a, f.neg(x) if t < l else x)
-                for k, x in L.bracket_basis(t, l).items():
-                    put((l, 1, k), a, x)
-        Z = kernel(Matrix(f, tuple(tuple(r) for r in rows.values()),
-                          len(ts)))
-        for p, v in zip(Z.pivots, Z.basis):
-            z = [f.zero] * n
-            for t, x in zip(ts, v):
-                z[t] = x
-            found.append((ts[p], tuple(z)))
-    found.sort()
-    return Subspace(f, n, tuple(z for _, z in found),
-                    tuple(p for p, _ in found))
-
-
-def _center_residuals(L: LieAlgebra) -> tuple:
-    """(width, Z pivots, residuals), cached on L: the residual of
-    zeta_k ^ x_l mod J for each row zeta_k of Z(L) and the l-th generator
-    x_l, as residuals[l][k], a sparse row over the columns of L ^ L.  Those
-    are the pair columns that are not J pivots, counted across the blocks,
-    so width = dim L ^ L."""
-    cached = L._cache.get("center_residuals")
+def _generator_residuals(L: LieAlgebra) -> tuple:
+    """(width, residuals), cached on L: residuals[l] maps each basis index
+    t to the residual of e_t ^ x_l mod J, x_l the l-th minimal generator,
+    as (column, value) pairs over the columns of L ^ L.  Those are the
+    pair columns that are not J pivots, counted across the blocks, so
+    width = dim L ^ L.  Only nonzero residuals are kept."""
+    cached = L._cache.get("generator_residuals")
     if cached is not None:
         return cached
     f = L.field
     w = _wedge(L)
+    deg = w.deg
     pivot_row = {t: dict(zip(J.pivots, J.basis)) for t, J in w.blocks.items()}
     free: dict = {}
     for (i, j), c in w.col.items():
-        t = w.deg[i] + w.deg[j]
-        if c not in pivot_row.get(t, {}):
-            free[(t, c)] = len(free)
-    Z = L.center()
+        b = deg[i] + deg[j]
+        if c not in pivot_row.get(b, {}):
+            free[(b, c)] = len(free)
+    minus_one = f.neg(f.one)
     residuals = []
     for l in minimal_generators(L).pivots:
-        per_l = []
-        for zeta in Z.basis:
-            res: dict = {}
-            for t, x in enumerate(zeta):
-                if x == 0 or t == l:
-                    continue
-                # x e_t ^ e_l read off its block as in _exterior_center_wedge
-                b = w.deg[t] + w.deg[l]
-                q = w.col[(t, l) if t < l else (l, t)]
-                sx = x if t < l else f.neg(x)
-                row = pivot_row.get(b, {}).get(q)
-                terms = ([(q, sx)] if row is None else
-                         [(c, f.neg(f.mul(sx, y))) for c, y in enumerate(row)
-                          if y != 0 and c != q])
-                for c, y in terms:
-                    i = free[(b, c)]
-                    res[i] = f.add(res.get(i, f.zero), y)
-            per_l.append({i: y for i, y in res.items() if y != 0})
+        per_l = {}
+        for t in range(L.dim):
+            if t == l:
+                continue
+            # e_t ^ e_l = -(e_l ^ e_t); a pivot pair's residual is minus
+            # its canonical row, the pivot entry dropped
+            b = deg[t] + deg[l]
+            q = w.col[(t, l) if t < l else (l, t)]
+            row = pivot_row.get(b, {}).get(q)
+            if row is None:
+                per_l[t] = ((free[(b, q)], f.one if t < l else minus_one),)
+            else:
+                res = tuple((free[(b, c)], f.neg(x) if t < l else x)
+                            for c, x in enumerate(row) if x != 0 and c != q)
+                if res:
+                    per_l[t] = res
         residuals.append(per_l)
-    cached = (len(free), Z.pivots, residuals)
-    L._cache["center_residuals"] = cached
+    cached = (len(free), residuals)
+    L._cache["generator_residuals"] = cached
     return cached
 
 
 def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
     """dim of the image of L ^ I in L ^ L, for a central ideal I: the rank
-    of the residuals of v ^ x_l mod J over the rows v of I and the
-    generators x_l.  I lies in Z(L), so each v is the combination of Z's
-    rows with v's entries at Z's pivots as coefficients."""
+    of the rows sum_t v_t residuals[l][t], over the rows v of I and the
+    generators x_l."""
     f = L.field
-    width, pivots, residuals = _center_residuals(L)
+    width, residuals = _generator_residuals(L)
     rows = []
     for v in I.basis:
-        coeffs = [(v[p], k) for k, p in enumerate(pivots) if v[p] != 0]
+        support = [(t, x) for t, x in enumerate(v) if x != 0]
         for per_l in residuals:
             row = [f.zero] * width
-            for x, k in coeffs:
-                for i, y in per_l[k].items():
+            for t, x in support:
+                for i, y in per_l.get(t, ()):
                     row[i] = f.add(row[i], f.mul(x, y))
             if any(row):
                 rows.append(row)
@@ -299,11 +256,38 @@ def exterior_square_dim(L: LieAlgebra) -> int:
 
 
 def exterior_center(L: LieAlgebra) -> Subspace:
-    """{z in L : z wedge x = 0 for every x}, as a subspace of L."""
+    """{z in L : z wedge x = 0 for every x}, as a subspace of L, cached on
+    L: the kernel of z -> (sum_t z_t residuals[l][t])_l, taken for the z
+    of each degree."""
     cached = L._cache.get("exterior_center")
-    if cached is None:
-        cached = _exterior_center_wedge(L)
-        L._cache["exterior_center"] = cached
+    if cached is not None:
+        return cached
+    f, n = L.field, L.dim
+    deg = _wedge(L).deg
+    residuals = _generator_residuals(L)[1]
+    by_degree: dict = {}
+    for t in range(n):
+        by_degree.setdefault(deg[t], []).append(t)
+    found = []  # (pivot, vector) of every Z^ basis vector, all degrees
+    for ts in by_degree.values():
+        rows: dict = {}  # one constraint row per (l, column of L ^ L)
+        for a, t in enumerate(ts):
+            for l, per_l in enumerate(residuals):
+                for i, x in per_l.get(t, ()):
+                    if (l, i) not in rows:
+                        rows[(l, i)] = [f.zero] * len(ts)
+                    rows[(l, i)][a] = x
+        Z = kernel(Matrix(f, tuple(tuple(r) for r in rows.values()),
+                          len(ts)))
+        for p, v in zip(Z.pivots, Z.basis):
+            z = [f.zero] * n
+            for t, x in zip(ts, v):
+                z[t] = x
+            found.append((ts[p], tuple(z)))
+    found.sort()
+    cached = Subspace(f, n, tuple(z for _, z in found),
+                      tuple(p for p, _ in found))
+    L._cache["exterior_center"] = cached
     return cached
 
 
@@ -333,8 +317,9 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     exact (Ellis), so dim (L/I)^(L/I) = dim L ^ L - r, with r the rank of
     L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
     L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
-    residuals of x_l ^ v mod J over the generators x_l and the rows v of
-    I.  Since dim M(L) = dim L ^ L - dim L^2, the right side is lhs - r.
+    residuals of v ^ x_l mod J over the generators x_l and the rows v of
+    I, read off the generator-residual table that exterior_center reads
+    too.  Since dim M(L) = dim L ^ L - dim L^2, the right side is lhs - r.
 
     (r, containment of I in Z^(L)) is cached on L under ("bound", I): I
     is a canonical Subspace, so two spanning sets of one ideal share the

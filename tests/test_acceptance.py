@@ -38,7 +38,8 @@ from liecap.schur import (
     schur_multiplier_dim,
 )
 
-from oracles import lyndon_count, quotient_with_projection
+from oracles import (epicenter_test_dd_by_intersection, lyndon_count,
+                     quotient_with_projection)
 
 ALL_FIELDS = (QQ, GF2, GF3, GF5)
 
@@ -200,7 +201,8 @@ def test_criterion_05_central_ideal_bound_suite():
             for line in _center_lines(L, 20, rng):
                 dd = epicenter_test_dd(L, line)
                 checked += 1
-                if not dd.consistent:
+                if (not dd.consistent
+                        or dd != epicenter_test_dd_by_intersection(L, line)):
                     violations.append((str(f), L.name, dd))
     report(5, "multiplier bound with equality exactly on exterior-center "
               "lines", checked > 500 and not violations,

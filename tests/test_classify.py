@@ -5,7 +5,7 @@ import re
 import pytest
 from fractions import Fraction
 
-from liecap import GF2, GF3, GF5, QQ
+from liecap import GF2, GF3, GF5, QQ, catalog, schur
 from liecap.errors import NotNilpotentError, ScopeError
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
@@ -17,6 +17,8 @@ from liecap.classify import (
     RULE_DERIVED_LINE,
     capability_structural,
     class3_stem_products,
+    VerificationReport,
+    _check_central_ideal_bound,
     fingerprint,
     plus_abelian,
     verify_paper,
@@ -157,7 +159,7 @@ def test_non_nilpotent_rejected():
         capability_structural(S)
 
 
-def test_rules_are_registered_and_serializable():
+def test_rules_are_registered():
     for L in (abelian(QQ, 2), build("H", QQ, m=1), build("L4_3", QQ),
               build("L5_8", QQ), build("L27A", QQ)):
         v = capability_structural(L)
@@ -260,6 +262,39 @@ def test_verification_suite_reduced_run_passes():
     # deterministic ordering
     rep2 = verify_paper(fields=(GF2,), seed=0)
     assert [c.check_id for cs in rep2.sections.values() for c in cs] == ids
+
+
+@pytest.fixture
+def fresh_catalog():
+    """Empty the cache of catalog.build before and after a test, so no
+    algebra keeps cache entries from another test or leaves its own."""
+    catalog.build.cache_clear()
+    yield
+    catalog.build.cache_clear()
+
+
+def test_central_ideal_bound_check_catches_a_wrong_rank(monkeypatch,
+                                                         fresh_catalog):
+    """A rank one too high wherever it is nonzero keeps DDResult.consistent
+    true (the right side stays below the left, and such an I lies outside
+    the exterior center), so only the right side taken through the
+    quotient algebra catches it."""
+    rank = schur._central_wedge_rank
+    calls = []
+
+    def off_by_one(L, I):
+        r = rank(L, I)
+        calls.append(r)
+        return r + 1 if r else r
+
+    monkeypatch.setattr(schur, "_central_wedge_rank", off_by_one)
+    rep = VerificationReport(["GF(2)"], 0)
+    _check_central_ideal_bound(rep, GF2, 0)
+    catalog_check = rep.sections["central_ideal_bound"][0]
+    assert catalog_check.check_id == "GF(2)/all-catalog"
+    assert any(calls)
+    assert not catalog_check.passed
+    assert catalog_check.values["violations"] > 0
 
 
 def test_verification_report_serialization():

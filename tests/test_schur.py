@@ -778,8 +778,10 @@ def test_bound_holds_on_all_center_lines_of_catalog_sample():
         for name in ("L5_7", "L6_13", "L27A"):
             L = build(name, f)
             for row in L.center().basis:
-                dd = epicenter_test_dd(L, span(f, L.dim, [row]))
+                I = span(f, L.dim, [row])
+                dd = epicenter_test_dd(L, I)
                 assert dd.consistent, (f, name, row)
+                assert dd == epicenter_test_dd_by_intersection(L, I)
 
 
 def _outcome(fn, *args):

@@ -294,7 +294,6 @@ def test_central_ideal_bound_check_catches_a_wrong_rank(monkeypatch,
     assert catalog_check.check_id == "GF(2)/all-catalog"
     assert any(calls)
     assert not catalog_check.passed
-    assert catalog_check.values["violations"] > 0
 
 
 def test_verification_report_serialization():

@@ -11,7 +11,7 @@ from .errors import (
     ShapeError,
 )
 from .field import GF2, GF3, GF5, QQ, FieldSpec
-from .linalg import Matrix, Subspace, kernel, span, subspace_intersect
+from .linalg import Subspace, kernel, span, subspace_intersect
 from .liealg import (
     LieAlgebra,
     abelian,
@@ -49,7 +49,7 @@ __all__ = [
     "EngineError", "FieldError", "NotIdealError", "NotNilpotentError",
     "ResourceError", "ScopeError", "ShapeError",
     "FieldSpec", "QQ", "GF2", "GF3", "GF5",
-    "Matrix", "Subspace", "kernel", "span", "subspace_intersect",
+    "Subspace", "kernel", "span", "subspace_intersect",
     "LieAlgebra", "abelian", "central_product", "direct_sum",
     "minimal_generators",
     "FreeNilpotent", "free_nilpotent", "hall_basis", "witt_dimension",

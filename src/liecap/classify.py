@@ -550,15 +550,15 @@ def _check_central_products(report: VerificationReport, f: FieldSpec) -> None:
          catalog.build("H", f, m=1), (3, 2), catalog.build("L6_10", f)),
     ]
     for cid, a, b, pair, want in cases:
-        prod, proj = central_product(a, b, [pair], name=cid)
+        prod, glue = central_product(a, b, [pair], name=cid)
         fp_match = fingerprint(prod) == fingerprint(want)
         report.add(sec, f"{lab}/{cid}", "fingerprint matches the catalog "
                    "algebra", {"match": fp_match}, fp_match)
         # image of A^2 cap B^2 is nonzero and inside the exterior center
         a2 = a.derived_subalgebra()
         b2 = b.derived_subalgebra()
-        img_a2 = _push(proj, a2, 0, a.dim, prod)
-        img_b2 = _push(proj, b2, a.dim, b.dim, prod)
+        img_a2 = _push(glue, a2, 0, prod)
+        img_b2 = _push(glue, b2, a.dim, prod)
         overlap = subspace_intersect(img_a2, img_b2)
         inside = schur.exterior_center(prod).contains_subspace(overlap)
         report.add(sec, f"{lab}/{cid}/overlap",
@@ -567,16 +567,19 @@ def _check_central_products(report: VerificationReport, f: FieldSpec) -> None:
                    overlap.dim > 0 and inside)
 
 
-def _push(proj, sub: Subspace, offset: int, width: int,
+def _push(glue: Subspace, sub: Subspace, offset: int,
           target: LieAlgebra) -> Subspace:
-    """Image in the central product of a subspace of one factor."""
+    """Image in the central product `target` = (a (+) b)/glue of a subspace
+    of the factor at `offset`: each row reduced mod glue and read at glue's
+    non-pivot coordinates, the quotient's own rule."""
     f = target.field
+    pivots = set(glue.pivots)
     rows = []
     for row in sub.basis:
-        big = [f.zero] * proj.ncols
-        for i, x in enumerate(row):
-            big[offset + i] = x
-        rows.append(proj.apply(big))
+        big = [f.zero] * glue.ambient_dim
+        big[offset:offset + len(row)] = row
+        rows.append([x for k, x in enumerate(glue.reduce(big))
+                     if k not in pivots])
     return span(f, target.dim, rows)
 
 

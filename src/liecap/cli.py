@@ -1,8 +1,8 @@
 """Command-line front end and the JSON file format for algebras.
 
-Exit status: 0 success, 1 bad input or out-of-scope request, 2 a
-verification-style check failed (Jacobi violation, --expect mismatch,
-or a failing verify-paper run).
+Exit status: 0 success, 1 bad input, an out-of-scope request or an --out
+path that cannot be written, 2 a verification-style check failed (Jacobi
+violation, --expect mismatch, or a failing verify-paper run).
 
 Algebra files are JSON with 1-based indices and string coefficients:
 
@@ -395,8 +395,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (EngineError, ValueError, ZeroDivisionError,
-            OverflowError) as exc:
+    except (EngineError, ValueError, ZeroDivisionError, OverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

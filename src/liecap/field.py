@@ -53,14 +53,20 @@ class FieldSpec:
 
     @staticmethod
     def gf(p: int) -> "FieldSpec":
-        if not isinstance(p, int) or not _is_prime(p):
-            raise FieldError(f"GF(p) needs a prime modulus, got {p!r}")
-        if p > MAX_PRIME:
-            raise FieldError(f"prime modulus {p} exceeds supported bound {MAX_PRIME}")
         return FieldSpec("GFp", p)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Q", "GFp"):
+        p = self.p
+        if self.kind == "Q":
+            if p != 0:
+                raise FieldError(f"Q takes no modulus, got {p!r}")
+        elif self.kind == "GFp":
+            # the bound first, so no huge p is trial-divided
+            if isinstance(p, int) and p > MAX_PRIME:
+                raise FieldError(f"modulus {p} exceeds supported bound {MAX_PRIME}")
+            if not isinstance(p, int) or not _is_prime(p):
+                raise FieldError(f"GF(p) needs a prime modulus, got {p!r}")
+        else:
             raise FieldError(f"unknown field kind {self.kind!r}")
         q = self.kind == "Q"
         object.__setattr__(self, "zero", Fraction(0) if q else 0)
@@ -178,11 +184,7 @@ class FieldSpec:
     def from_json(obj) -> "FieldSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise FieldError(f"bad field object {obj!r}")
-        if obj["kind"] == "Q":
-            return FieldSpec.rationals()
-        if obj["kind"] == "GFp":
-            return FieldSpec.gf(obj.get("p"))
-        raise FieldError(f"unknown field kind {obj['kind']!r}")
+        return FieldSpec(obj["kind"], obj.get("p", 0))
 
 
 QQ = FieldSpec.rationals()

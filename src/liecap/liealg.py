@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 from . import linalg
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
 from .field import FieldSpec
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 
 SparseVec = dict  # dict[int, Scalar], no zero values
 
@@ -212,8 +212,7 @@ class LieAlgebra:
                 if key not in rows:
                     rows[key] = [f.zero] * n
                 rows[key][j] = f.sub(rows[key][j], c)
-        return linalg.kernel(
-            Matrix(f, tuple(tuple(rows[k]) for k in sorted(rows)), n))
+        return linalg._kernel_canonical(f, n, [rows[k] for k in sorted(rows)])
 
     def degrees(self) -> Optional[tuple]:
         """The degree of each basis vector when the basis is standard-graded,
@@ -405,10 +404,10 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
                     pairs: Sequence, name: str = "") -> tuple:
     """Glue a and b along central elements: quotient of a (+) b by the span of
     (x_i, -y_i) for each (x_i, y_i) in pairs.  A bare int stands for that
-    basis vector.  Returns (product, projection matrix from the direct sum
-    onto it).  The projection's column k is e_k at a coordinate k the
-    quotient keeps; at a pivot k of the glue ideal it is minus the ideal's
-    row with pivot k, read at the kept coordinates.
+    basis vector.  Returns (product, glue): glue is the canonical ideal of
+    a (+) b divided out, so the product's basis is e_k at glue's non-pivot
+    coordinates k, and a vector of a (+) b maps to its residual mod glue
+    read there, as for any quotient.
     """
     if a.field != b.field:
         raise ShapeError("central_product over different fields")
@@ -432,22 +431,12 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
             or linalg.span(f, b.dim, ys).dim != len(pairs):
         raise ShapeError("gluing elements must be linearly independent")
     d = direct_sum(a, b)
-    glue = [list(x) + [f.neg(c) for c in y] for x, y in zip(xs, ys)]
-    ideal = linalg.span(f, d.dim, glue)
-    prod = d.quotient(ideal)
+    glue = linalg.span(f, d.dim, [list(x) + [f.neg(c) for c in y]
+                                  for x, y in zip(xs, ys)])
+    prod = d.quotient(glue)
     if name:
         prod.name = name
-    row_of = dict(zip(ideal.pivots, ideal.basis))
-    rows = []
-    for t in range(d.dim):
-        if t in row_of:
-            continue
-        row = [f.zero] * d.dim
-        row[t] = f.one
-        for k, irow in row_of.items():
-            row[k] = f.neg(irow[t])
-        rows.append(tuple(row))
-    return prod, Matrix(f, tuple(rows), d.dim)
+    return prod, glue
 
 
 def abelian(field: FieldSpec, n: int, name: str = "") -> LieAlgebra:

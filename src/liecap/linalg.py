@@ -32,53 +32,6 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 # ======================================================================
-# Matrix
-# ======================================================================
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix with entries canonical in `field`.
-
-    from_rows() coerces outside input; direct construction must supply
-    canonical entries as tuples of rows."""
-
-    field: FieldSpec
-    rows: tuple  # tuple[tuple[Scalar, ...], ...]
-    ncols: int
-
-    @staticmethod
-    def from_rows(field: FieldSpec, rows: Iterable[Sequence], ncols: int | None = None) -> "Matrix":
-        coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if coerced:
-            width = len(coerced[0])
-            if any(len(r) != width for r in coerced):
-                raise ShapeError("ragged rows")
-        else:
-            width = 0 if ncols is None else ncols
-        if ncols is not None and coerced and width != ncols:
-            raise ShapeError(f"expected {ncols} columns, got {width}")
-        return Matrix(field, coerced, width)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product (v has ncols entries)."""
-        if len(v) != self.ncols:
-            raise ShapeError(f"vector length {len(v)} != {self.ncols} columns")
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-
-# ======================================================================
 # elimination cores
 # ======================================================================
 
@@ -261,12 +214,18 @@ class Subspace:
         return f"Subspace({self.field}, dim {self.dim} of {self.ambient_dim})"
 
 
-def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
+def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
+    """Outside rows, coerced into `field` and checked to have n entries."""
     rows = [tuple(field.coerce(x) for x in row) for row in rows]
     for row in rows:
-        if len(row) != ambient_dim:
-            raise ShapeError(f"row length {len(row)} != ambient {ambient_dim}")
-    return _span_canonical(field, ambient_dim, rows)
+        if len(row) != n:
+            raise ShapeError(f"row length {len(row)} != {n}")
+    return rows
+
+
+def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
+    return _span_canonical(field, ambient_dim,
+                           _coerced(field, ambient_dim, rows))
 
 
 def _span_canonical(field: FieldSpec, ambient_dim: int,
@@ -300,20 +259,24 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
     return Subspace(field, n, tuple(basis), tuple(idx))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} as a canonical Subspace of field^ncols.
+def kernel(field: FieldSpec, ncols: int, rows: Iterable[Sequence]) -> Subspace:
+    """Null space {v : row . v = 0 for every row} as a canonical Subspace
+    of field^ncols."""
+    return _kernel_canonical(field, ncols, _coerced(field, ncols, rows))
 
-    m is reduced once, with its columns reversed, so every reduced row has
-    nonzero entries only at its pivot and at free columns to the left of it
-    in the original order.  The null-space vector of a free column c is 1 at
-    c, minus the reduced entries at the pivot columns right of c, and 0 at
-    every other free column.  Taken in increasing c these vectors are
-    already in reduced row echelon form with pivots at the free columns,
-    which is the canonical basis, so no second reduction is needed.
+
+def _kernel_canonical(field: FieldSpec, ncols: int,
+                      rows: Iterable[Sequence]) -> Subspace:
+    """kernel() for rows the library built itself, as for _span_canonical.
+
+    One reduction with the columns reversed leaves each row nonzero only at
+    its pivot and at free columns left of it.  The null vector of a free
+    column c is 1 at c and minus the reduced entries at the pivot columns
+    right of c; in increasing c these vectors are already the canonical
+    basis, with pivots at the free columns, so nothing is reduced again.
     """
-    f = m.field
-    n = m.ncols
-    rows, pivots = rref_rows(f, [row[::-1] for row in m.rows])
+    f, n = field, ncols
+    rows, pivots = rref_rows(f, [row[::-1] for row in rows])
     pivcols = [n - 1 - p for p in pivots]
     free = sorted(set(range(n)).difference(pivcols))
     basis = []

@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
 from .liealg import DEFAULT_MAX_DIM, LieAlgebra, minimal_generators
-from .linalg import Matrix, Subspace, kernel, _span_canonical
+from .linalg import Subspace, _kernel_canonical, _span_canonical, rref_rows
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
                     row[i] = f.add(row[i], f.mul(x, y))
             if any(row):
                 rows.append(row)
-    return _span_canonical(f, width, rows).dim
+    return len(rref_rows(f, rows)[1])
 
 
 # ======================================================================
@@ -277,8 +277,7 @@ def exterior_center(L: LieAlgebra) -> Subspace:
                     if (l, i) not in rows:
                         rows[(l, i)] = [f.zero] * len(ts)
                     rows[(l, i)][a] = x
-        Z = kernel(Matrix(f, tuple(tuple(r) for r in rows.values()),
-                          len(ts)))
+        Z = _kernel_canonical(f, len(ts), rows.values())
         for p, v in zip(Z.pivots, Z.basis):
             z = [f.zero] * n
             for t, x in zip(ts, v):

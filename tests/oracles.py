@@ -21,7 +21,8 @@ exterior center from the generators.  `commutator_full_route` and
 `exterior_center_all_pairs` check both shortcuts against the whole cover.
 
 The module also keeps what the package no longer needs and the tests
-still read: `Hom`, a linear map with its image, kernel and bracket check;
+still read: `Hom`, a linear map held as its rows, with its image, kernel
+and bracket check;
 the stem decomposition L = T (+) A (`stem_decompose`, built with
 `extend_to_complement` and `subalgebra_on`), which checks the class-2
 rule's stem dimension; `subspace_sum` and `coordinates`.
@@ -37,7 +38,6 @@ from liecap.errors import NotIdealError, NotNilpotentError, ShapeError
 from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
-    Matrix,
     Subspace,
     _span_canonical,
     complement_in,
@@ -119,8 +119,8 @@ def upper_central_series_by_quotients(L):
         # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
         # Z(Q) vanishes
         cols = [zq.reduce(proj.column(k)) for k in range(L.dim)]
-        m = Matrix(L.field, tuple(zip(*cols)), L.dim)
-        nxt = kernel(m) if quot.dim else L.full_space()
+        nxt = kernel(L.field, L.dim, zip(*cols)) if quot.dim \
+            else L.full_space()
         if nxt.dim == zi.dim:
             series.append(nxt)  # stabilized below L: not nilpotent
             break
@@ -128,9 +128,9 @@ def upper_central_series_by_quotients(L):
     return tuple(series)
 
 
-def quotient_projection_by_reduction(L, ideal) -> Matrix:
-    """The matrix of the projection L -> L/I, each e_k reduced mod I and
-    read at I's non-pivot coordinates, after the same ideal check as
+def quotient_projection_by_reduction(L, ideal) -> tuple:
+    """The rows of the projection L -> L/I, each e_k reduced mod I and read
+    at I's non-pivot coordinates, after the same ideal check as
     `LieAlgebra.quotient`."""
     for row in ideal.basis:
         srow = {i: c for i, c in enumerate(row) if c != 0}
@@ -141,12 +141,11 @@ def quotient_projection_by_reduction(L, ideal) -> Matrix:
                     f"subspace is not an ideal (fails at basis {j})")
     keep = [k for k in range(L.dim) if k not in set(ideal.pivots)]
     cols = [ideal.reduce(L.basis_vector(k)) for k in range(L.dim)]
-    return Matrix(L.field, tuple(tuple(cols[k][t] for k in range(L.dim))
-                                 for t in keep), L.dim)
+    return tuple(tuple(cols[k][t] for k in range(L.dim)) for t in keep)
 
 
 def quotient_with_projection(L, ideal):
-    """(L/I, the projection L -> L/I as a Hom), the projection's matrix
+    """(L/I, the projection L -> L/I as a Hom), the projection's rows
     from `quotient_projection_by_reduction`."""
     quot = L.quotient(ideal)
     return quot, Hom(L, quot, quotient_projection_by_reduction(L, ideal))
@@ -205,30 +204,46 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return _span_canonical(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
 
 
+def apply_rows(field, rows, v: Sequence) -> tuple:
+    """The product of the map held as `rows` with the vector v."""
+    out = []
+    for row in rows:
+        if len(row) != len(v):
+            raise ShapeError(f"vector length {len(v)} != {len(row)} columns")
+        acc = field.zero
+        for a, x in zip(row, v):
+            if a != 0 and x != 0:
+                acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
 class Hom:
-    """Linear map between Lie algebras, stored as a target x source matrix."""
+    """Linear map between Lie algebras, held as target.dim rows of length
+    source.dim."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "rows")
 
-    def __init__(self, source: LieAlgebra, target: LieAlgebra, matrix: Matrix):
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
+    def __init__(self, source: LieAlgebra, target: LieAlgebra, rows):
+        rows = tuple(map(tuple, rows))
+        if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
             raise ShapeError("hom matrix shape mismatch")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.rows = rows
 
     def apply(self, v: Sequence) -> tuple:
-        return self.matrix.apply(v)
+        return apply_rows(self.target.field, self.rows, v)
 
     def column(self, k: int) -> tuple:
-        return tuple(r[k] for r in self.matrix.rows)
+        return tuple(r[k] for r in self.rows)
 
     def image(self) -> Subspace:
         return span(self.target.field, self.target.dim,
                     [self.column(k) for k in range(self.source.dim)])
 
     def kernel(self) -> Subspace:
-        return kernel(self.matrix)
+        return kernel(self.target.field, self.source.dim, self.rows)
 
     def is_bracket_compatible(self) -> bool:
         """phi([x, y]) == [phi(x), phi(y)] on all basis pairs."""
@@ -337,8 +352,7 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
     T.name = f"stem({L.name})" if L.name else ""
     A = LieAlgebra(L.field, a_space.dim, {}, name=f"A({a_space.dim})")
     d = direct_sum(T, A)
-    iso = Hom(d, L, Matrix(L.field, tuple(zip(*t_space.basis,
-                                               *a_space.basis)), d.dim))
+    iso = Hom(d, L, zip(*t_space.basis, *a_space.basis))
     # stem property: Z(T) inside T^2 (= L^2)
     if not T.derived_subalgebra().contains_subspace(T.center()):
         raise ShapeError("stem decomposition failed the stem check")
@@ -367,16 +381,16 @@ def reduce_rows(sub: Subspace, rows: Sequence[Sequence]) -> list:
     return [[int(x) for x in row] for row in R]
 
 
-def solve_right_inverse(m: Matrix) -> Matrix:
-    """A section s with m . s = identity (m must have full row rank).
+def solve_right_inverse(f, rows, nc: int) -> tuple:
+    """The rows of a section s with m . s = identity, for the map m held as
+    `rows` of length nc (m must have full row rank).
 
     Found by reducing [m | I]: if U m is the RREF with pivot columns P, then
     s(e_k) = sum_i U[i][k] e_{P_i}.
     """
-    f = m.field
-    nr, nc = m.nrows, m.ncols
+    nr = len(rows)
     aug = [list(row) + [f.one if i == j else f.zero for j in range(nr)]
-           for i, row in enumerate(m.rows)]
+           for i, row in enumerate(rows)]
     reduced, pivots = rref_rows(f, aug)
     pivots = [p for p in pivots if p < nc]
     if len(pivots) != nr:
@@ -384,7 +398,7 @@ def solve_right_inverse(m: Matrix) -> Matrix:
     section = [(f.zero,) * nr] * nc
     for i, p in enumerate(pivots):
         section[p] = tuple(reduced[i][nc:])
-    return Matrix(f, tuple(section), nr)
+    return tuple(section)
 
 
 def extend_hom(F: FreeNilpotent, target: LieAlgebra,
@@ -411,8 +425,7 @@ def extend_hom(F: FreeNilpotent, target: LieAlgebra,
         t = F.trees[idx]
         li, ri = F.index[t[0]], F.index[t[1]]
         img.append(target.bracket(img[li], img[ri]))
-    matrix = Matrix(F.field, tuple(zip(*img)), F.dim)
-    return Hom(F.algebra, target, matrix)
+    return Hom(F.algebra, target, zip(*img))
 
 
 @dataclass(frozen=True)
@@ -422,7 +435,7 @@ class Presentation:
     L: LieAlgebra
     F: FreeNilpotent
     pi: Hom
-    section: Matrix
+    section: tuple  # the rows of a section of pi
     R: Subspace
     RF: Subspace
 
@@ -458,7 +471,7 @@ def present(L: LieAlgebra, images: list) -> Presentation:
     if R.dim != F.dim - L.dim:
         raise ShapeError("presentation map is not onto L "
                          "(does the table satisfy Jacobi?)")
-    section = solve_right_inverse(pi.matrix)
+    section = solve_right_inverse(L.field, pi.rows, F.dim)
     RF = commutator_with_free(F, R)
     return Presentation(L=L, F=F, pi=pi, section=section, R=R, RF=RF)
 
@@ -486,7 +499,7 @@ def exterior_center_from(pres: Presentation) -> Subspace:
     """{z : [s(z), x_l] in [R, F] for every free generator x_l}."""
     L, F = pres.L, pres.F
     n, d = L.dim, F.d
-    lifts = zip(*pres.section.rows)
+    lifts = zip(*pres.section)
     residuals = reduce_rows(pres.RF, [F.algebra._densify(w) for w in
                                       bracket_with_generators(F, lifts)])
     # constraint matrix over z-coordinates: one row per (l, cover coord)
@@ -501,8 +514,7 @@ def exterior_center_from(pres: Presentation) -> Subspace:
                 rows[(l, c)][t] = x
     if not rows:
         return L.full_space()
-    return kernel(Matrix(L.field, tuple(tuple(rows[k]) for k in sorted(rows)),
-                         n))
+    return kernel(L.field, n, [rows[k] for k in sorted(rows)])
 
 
 def commutator_full_route(F, R):
@@ -516,7 +528,7 @@ def exterior_center_all_pairs(pres):
     brackets."""
     L, F = pres.L, pres.F
     n, alg = L.dim, F.algebra
-    lifts = [tuple(pres.section.rows[r][k] for r in range(F.dim))
+    lifts = [tuple(pres.section[r][k] for r in range(F.dim))
              for k in range(n)]
     residuals = reduce_rows(pres.RF, [alg.bracket(a, b)
                                       for a in lifts for b in lifts])
@@ -525,4 +537,4 @@ def exterior_center_all_pairs(pres):
     rows = [row for row in rows if any(x != 0 for x in row)]
     if not rows:
         return L.full_space()
-    return kernel(Matrix.from_rows(L.field, rows, ncols=n))
+    return kernel(L.field, n, rows)

@@ -28,7 +28,7 @@ from liecap.classify import (
 )
 from liecap.cli import algebra_to_doc, doc_text
 from liecap.freelie import free_nilpotent, witt_dimension
-from liecap.liealg import central_product
+from liecap.liealg import central_product, direct_sum
 from liecap.linalg import subspace_intersect
 from liecap.schur import (
     epicenter_test_dd,
@@ -38,7 +38,8 @@ from liecap.schur import (
     schur_multiplier_dim,
 )
 
-from oracles import (epicenter_test_dd_by_intersection, lyndon_count,
+from oracles import (Hom, epicenter_test_dd_by_intersection, lyndon_count,
+                     quotient_projection_by_reduction,
                      quotient_with_projection)
 
 ALL_FIELDS = (QQ, GF2, GF3, GF5)
@@ -90,9 +91,11 @@ def _center_lines(L, count, rng):
     return lines
 
 
-def _push(proj, basis_rows, dim):
-    """Image of a subspace under a projection matrix, as a subspace."""
-    return span(proj.field, dim, [proj.apply(row) for row in basis_rows])
+def _push(proj, basis_rows):
+    """Image of a subspace under a projection Hom, as a subspace."""
+    target = proj.target
+    return span(target.field, target.dim,
+                [proj.apply(row) for row in basis_rows])
 
 
 def test_criterion_01_rank_two_multiplier_dimensions():
@@ -220,7 +223,9 @@ def test_criterion_06_central_product_fingerprints():
              build("L6_10", f)),
         ]
         for a, b, (ia, ib), want in cases:
-            prod, proj = central_product(a, b, [(ia, ib)])
+            prod, glue = central_product(a, b, [(ia, ib)])
+            d = direct_sum(a, b)
+            proj = Hom(d, prod, quotient_projection_by_reduction(d, glue))
             touch(prod)
             touch(want)
             if fingerprint(prod) != fingerprint(want):
@@ -232,7 +237,7 @@ def test_criterion_06_central_product_fingerprints():
             a_rows = [tuple(r) + (f.zero,) * b.dim for r in da.basis]
             b_rows = [(f.zero,) * a.dim + tuple(r) for r in db.basis]
             overlap = subspace_intersect(
-                _push(proj, a_rows, prod.dim), _push(proj, b_rows, prod.dim))
+                _push(proj, a_rows), _push(proj, b_rows))
             if overlap.dim == 0:
                 failures.append((str(f), want.name, "overlap-zero"))
             if not exterior_center(prod).contains_subspace(overlap):

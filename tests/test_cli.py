@@ -331,6 +331,18 @@ def test_verify_paper_full_run_passes(tmp_path, capsys):
     assert rep["fields"] == ["Q", "GF(2)"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "emit", "H", "--m", "1"],
+    ["verify-paper", "--field", "gf2"],
+])
+def test_unwritable_out_path_exits_one_with_one_error_line(tmp_path, capsys,
+                                                          argv):
+    out = tmp_path / "absent" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 # ----------------------------------------------------------------------
 # subprocess smoke tests
 # ----------------------------------------------------------------------
@@ -411,7 +423,6 @@ def test_no_module_imports_an_unused_name():
 UNREFERENCED_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
     "FieldSpec.random_scalar": "bench/workloads.py draws central lines with it",
-    "Matrix.from_rows": "the constructor that coerces outside input",
     "LieAlgebra.bracket": "the public bracket of two dense elements",
 }
 

@@ -32,6 +32,19 @@ def test_gf_rejects_non_primes():
             FieldSpec.gf(bad)
 
 
+def test_direct_construction_is_checked_like_gf():
+    # GF(4) would print as a field and compute in Z/4; p = 0 would divide
+    # by zero at its first use; Q with a modulus would print as Q but
+    # differ from QQ
+    for kind, p in (("GFp", 4), ("GFp", 0), ("Q", 5)):
+        with pytest.raises(FieldError):
+            FieldSpec(kind, p)
+    with pytest.raises(FieldError, match="exceeds supported bound"):
+        FieldSpec("GFp", 2**61 - 1)  # refused before any trial division
+    assert FieldSpec("GFp", 7) == FieldSpec.gf(7)
+    assert FieldSpec("Q") == QQ
+
+
 def test_gf_accepts_small_primes():
     for p in (2, 3, 5, 7, 11, 13, 101):
         assert FieldSpec.gf(p).characteristic == p

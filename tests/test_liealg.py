@@ -24,6 +24,7 @@ from oracles import (
     bracket_subspaces_all_pairs,
     jacobi_violations_all_triples,
     lower_central_series_loop,
+    quotient_projection_by_reduction,
     quotient_with_projection,
     stem_decompose,
     subalgebra_on,
@@ -408,9 +409,12 @@ def test_direct_sum_rejects_mixed_fields():
 
 def test_central_product_of_two_heisenbergs_is_rank_one_of_higher_genus():
     H1 = build("H", QQ, m=1)
-    prod, proj = central_product(H1, H1, [(2, 2)])
+    prod, glue = central_product(H1, H1, [(2, 2)])
     assert prod.same_table(build("H", QQ, m=2))
-    assert Hom(direct_sum(H1, H1), prod, proj).is_bracket_compatible()
+    assert glue == span(QQ, 6, [[0, 0, 1, 0, 0, -1]])
+    d = direct_sum(H1, H1)
+    proj = Hom(d, prod, quotient_projection_by_reduction(d, glue))
+    assert proj.is_bracket_compatible()
 
 
 def test_central_product_chain_with_heisenberg():

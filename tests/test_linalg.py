@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecap import (
-    GF2, GF3, GF5, QQ, FieldSpec, Matrix, kernel, span,
+    GF2, GF3, GF5, QQ, FieldSpec, kernel, span,
 )
 from liecap import linalg
 from liecap.errors import ShapeError
@@ -25,6 +25,7 @@ from liecap.linalg import (
 
 import oracles
 from oracles import (
+    apply_rows,
     coordinates,
     extend_to_complement,
     extend_to_complement_greedy,
@@ -149,22 +150,22 @@ def test_coordinates_rejects_outside_vector():
 # ----------------------------------------------------------------------
 
 def test_kernel_of_rank_one_row():
-    k = kernel(Matrix.from_rows(QQ, [[1, 0, -1]]))
+    k = kernel(QQ, 3, [[1, 0, -1]])
     assert k.basis == ((1, 0, 1), (0, 1, 0))
 
 
 def test_kernel_of_invertible_matrix_is_zero():
-    k = kernel(Matrix.from_rows(QQ, [[1, 2], [3, 4]]))
+    k = kernel(QQ, 2, [[1, 2], [3, 4]])
     assert k.dim == 0
 
 
 def test_kernel_gf2_matches_enumeration():
-    m = Matrix.from_rows(GF2, [[1, 1]])
-    k = kernel(m)
+    rows = [[1, 1]]
+    k = kernel(GF2, 2, rows)
     assert k.basis == ((1, 1),)
     # enumerate GF(2)^2: exactly (0,0) and (1,1) die
     dead = {v for v in itertools.product(range(2), repeat=2)
-            if all(c == 0 for c in m.apply(v))}
+            if all(c == 0 for c in apply_rows(GF2, rows, v))}
     assert dead == {(0, 0), (1, 1)}
 
 
@@ -172,13 +173,23 @@ def test_kernel_vectors_actually_die():
     rng = random.Random(17)
     for f in (QQ, GF2, GF3):
         for trial in range(10):
-            m = Matrix.from_rows(
-                f, [[f.random_scalar(rng) for _ in range(5)]
-                    for _ in range(3)])
-            k = kernel(m)
+            rows = [[f.random_scalar(rng) for _ in range(5)]
+                    for _ in range(3)]
+            k = kernel(f, 5, rows)
             assert k.dim >= 2  # rank <= 3 in ambient dim 5
             for row in k.basis:
-                assert all(c == f.zero for c in m.apply(row))
+                assert all(c == f.zero for c in apply_rows(f, rows, row))
+
+
+def test_kernel_coerces_and_checks_its_rows():
+    # outside input is coerced as span() coerces it: strings, ints and
+    # Fractions, reduced mod p over GF(p)
+    assert kernel(QQ, 2, [["1/2", 1]]) == kernel(QQ, 2, [[1, 2]])
+    assert kernel(GF3, 2, [[4, 5]]) == kernel(GF3, 2, [[1, 2]])
+    assert kernel(QQ, 3, []) == full_subspace(QQ, 3)
+    for rows in ([[1, 0], [1, 0, 0]], [[1, 0, 0], [1, 0]], [[1, 0]]):
+        with pytest.raises(ShapeError):
+            kernel(QQ, 3, rows)
 
 
 @st.composite
@@ -195,18 +206,18 @@ def _matrices(draw):
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          max_size=5))
     rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
-    return Matrix.from_rows(f, rows, ncols=n)
+    return f, n, [[f.coerce(x) for x in row] for row in rows]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_matrices())
 def test_kernel_basis_is_canonical_and_exact(m):
-    f, n = m.field, m.ncols
-    k = kernel(m)
+    f, n, rows = m
+    k = kernel(f, n, rows)
     assert k == span(f, n, k.basis)
     for row in k.basis:
-        assert all(c == f.zero for c in m.apply(row))
-    assert k.dim == n - span(f, n, m.rows).dim
+        assert all(c == f.zero for c in apply_rows(f, rows, row))
+    assert k.dim == n - span(f, n, rows).dim
 
 
 # ----------------------------------------------------------------------
@@ -425,20 +436,19 @@ def test_right_inverse_on_surjective_maps():
         for trial in range(10):
             rows = [[f.random_scalar(rng) for _ in range(5)]
                     for _ in range(3)]
-            m = Matrix.from_rows(f, rows)
             if span(f, 5, rows).dim < 3:
                 continue  # row rank 3 <=> surjective onto f^3
-            sec = solve_right_inverse(m)
-            assert sec.nrows == 5 and sec.ncols == 3
+            sec = solve_right_inverse(f, rows, 5)
+            assert len(sec) == 5 and all(len(r) == 3 for r in sec)
             for j in range(3):
                 e = [f.one if i == j else f.zero for i in range(3)]
-                assert m.apply(sec.apply(e)) == tuple(e)
+                assert apply_rows(f, rows, apply_rows(f, sec, e)) == tuple(e)
 
 
 def test_right_inverse_requires_surjectivity():
-    m = Matrix.from_rows(QQ, [[1, 0], [2, 0]])  # rank 1, target dim 2
+    rows = [[QQ.one, QQ.zero], [QQ.coerce(2), QQ.zero]]  # rank 1, target dim 2
     with pytest.raises(ShapeError):
-        solve_right_inverse(m)
+        solve_right_inverse(QQ, rows, 2)
 
 
 # ----------------------------------------------------------------------

@@ -23,12 +23,12 @@ with catalog algebras plus A(k) on either side, check the center, the
 upper central series and the minimal generators against the routes the
 package used before they were read off one reduction: quotient algebras
 for the series, and `complement_in` for the generators.  The quotient's
-table, the projection `central_product` reads off its glue ideal's rows,
-and the central-ideal bound, read off L's own exterior square as
-dim M(L) - rank(L ^ I mod J), are compared with the routes kept in
-`oracles`: the kept pairs bracketed, each e_k reduced mod the ideal, and
-dim M(L/I) - dim(L^2 cap I) from the quotient algebra and an
-intersection, on graded and rebased bases.  The bound's cache is checked
+table, the glue ideal `central_product` returns with the images
+`classify._push` reads off it, and the central-ideal bound, read off L's
+own exterior square as dim M(L) - rank(L ^ I mod J), are compared with
+the routes kept in `oracles`: the kept pairs bracketed, each e_k reduced
+mod the ideal, and dim M(L/I) - dim(L^2 cap I) from the quotient algebra
+and an intersection, on graded and rebased bases.  The bound's cache is checked
 the same way: an ideal given again by another spanning set matches the
 oracle on a fresh algebra, no quotient is built, the rank is taken once
 per canonical ideal, and every call still checks its input.
@@ -52,6 +52,7 @@ from liecap.errors import (
 )
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
+    _push,
     capability_structural,
     class3_stem_products,
     plus_abelian,
@@ -65,10 +66,9 @@ from liecap.liealg import (
     minimal_generators,
 )
 from liecap.linalg import (
-    Matrix,
+    _kernel_canonical,
     complement_in,
     coordinate_subspace,
-    kernel,
     subspace_intersect,
     zero_subspace,
 )
@@ -84,6 +84,7 @@ from liecap.schur import (
 )
 
 from oracles import (
+    apply_rows,
     brute_force_multiplier_dim_abelian,
     commutator_full_route,
     epicenter_test_dd_by_intersection,
@@ -148,7 +149,7 @@ def test_presentation_projection_is_a_section_pair():
         # pi after the section is the identity on L
         for j in range(L.dim):
             e = L.basis_vector(j)
-            assert pres.pi.apply(pres.section.apply(e)) == e
+            assert pres.pi.apply(apply_rows(f, pres.section, e)) == e
 
 
 def test_presentation_is_cached_per_algebra():
@@ -336,15 +337,14 @@ def test_exterior_invariants_on_generated_algebras(L):
 
 
 # ----------------------------------------------------------------------
-# matrices the library builds without coercing their entries again
+# rows the library builds without coercing their entries again
 # ----------------------------------------------------------------------
 
-def assert_canonical(m):
-    """m equals Matrix.from_rows of its own rows, and every entry has the
-    canonical type: Fraction over Q, int in [0, p) over GF(p)."""
-    assert m == Matrix.from_rows(m.field, m.rows, ncols=m.ncols)
-    f = m.field
-    for row in m.rows:
+def assert_canonical(f, ncols, rows):
+    """Every row has ncols entries, each of the canonical type: Fraction
+    over Q, int in [0, p) over GF(p), so coercing it changes nothing."""
+    for row in rows:
+        assert len(row) == ncols, (f, ncols, row)
         for x in row:
             if f.is_rationals:
                 assert type(x) is Fraction, (f, x)
@@ -352,18 +352,20 @@ def assert_canonical(m):
                 assert type(x) is int and 0 <= x < f.p, (f, x)
 
 
-def test_library_built_matrices_are_canonical(monkeypatch):
-    # every matrix handed to kernel(): the exterior-center constraints, the
-    # centers and the upper central series; the projection `central_product`
-    # returns; and the presentation oracle's projection and section
+def test_library_built_rows_are_canonical(monkeypatch):
+    # every row handed to _kernel_canonical(): the exterior-center
+    # constraints, the centers and the upper central series; the glue ideal
+    # `central_product` returns; and the presentation oracle's projection
+    # and section
     handed = []
 
-    def recording(m):
-        handed.append(m)
-        return kernel(m)
+    def recording(f, ncols, rows):
+        rows = list(rows)
+        handed.append((f, ncols, rows))
+        return _kernel_canonical(f, ncols, rows)
 
-    monkeypatch.setattr(schur, "kernel", recording)
-    monkeypatch.setattr(linalg, "kernel", recording)
+    monkeypatch.setattr(schur, "_kernel_canonical", recording)
+    monkeypatch.setattr(linalg, "_kernel_canonical", recording)
     for f in (QQ, GF2, GF3):
         cases = [free_nilpotent(d, c, f).algebra
                  for d in (2, 3) for c in (2, 3)]
@@ -378,10 +380,12 @@ def test_library_built_matrices_are_canonical(monkeypatch):
             assert handed, (f, L.name)
             copy.upper_central_series()
             z = copy.center().basis[0]
-            _, proj = central_product(copy, copy, [(z, z)])
-            built = [pres.pi.matrix, pres.section, proj] + handed
-            for m in built:
-                assert_canonical(m)
+            d = direct_sum(copy, copy)
+            _, glue = central_product(copy, copy, [(z, z)])
+            built = [(f, pres.dim_F, pres.pi.rows), (f, L.dim, pres.section),
+                     (f, d.dim, glue.basis)]
+            for args in built + handed:
+                assert_canonical(*args)
 
 
 # ----------------------------------------------------------------------
@@ -542,13 +546,13 @@ def _rebased(draw):
               for j in range(n)] for i in range(n)]
     lu = [[sum((f.mul(lower[i][t], upper[t][j]) for t in range(n)), f.zero)
            for j in range(n)] for i in range(n)]
-    P = Matrix.from_rows(f, [lu[perm[i]] for i in range(n)], ncols=n)
-    Pinv = solve_right_inverse(P)
-    cols = list(zip(*P.rows))
+    P = [[f.coerce(x) for x in lu[perm[i]]] for i in range(n)]
+    Pinv = solve_right_inverse(f, P, n)
+    cols = list(zip(*P))
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            coords = Pinv.apply(L.bracket(cols[a], cols[b]))
+            coords = apply_rows(f, Pinv, L.bracket(cols[a], cols[b]))
             entry_ab = {k: x for k, x in enumerate(coords) if x != 0}
             if entry_ab:
                 brackets[(a, b)] = entry_ab
@@ -565,7 +569,8 @@ def test_invariants_survive_a_change_of_basis(case):
             a.capable) == (b.dim_M, b.dim_exterior_square,
                            b.exterior_center.dim, b.capable)
     moved = span(L.field, L.dim,
-                 [Pinv.apply(z) for z in a.exterior_center.basis])
+                 [apply_rows(L.field, Pinv, z)
+                  for z in a.exterior_center.basis])
     assert moved == b.exterior_center
 
 
@@ -694,7 +699,7 @@ def test_invariants_do_not_depend_on_the_section():
 def test_variants_produce_distinct_relation_spaces():
     # the sections genuinely differ; only the invariants coincide
     L = build("L6_10", QQ)
-    sections = {p.section.rows for p in section_choices(L)}
+    sections = {p.section for p in section_choices(L)}
     assert len(sections) > 1
 
 
@@ -792,6 +797,12 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
+def _raised(outcome) -> bool:
+    """Whether an `_outcome` is the type and message of an error."""
+    return (isinstance(outcome, tuple) and len(outcome) == 2
+            and isinstance(outcome[0], type))
+
+
 @st.composite
 def _ideal_cases(draw):
     """(L, subspaces): L a catalog algebra with A(k), k <= 2, on either
@@ -842,24 +853,35 @@ def test_quotient_and_bound_match_the_parent_routes(case, glued):
     """The quotient's table from L's table against the kept pairs
     bracketed, its errors against the reduction oracle's, the bound's right
     side read off the quotient against dim M(L/I) - dim(L^2 cap I) by
-    intersection, errors included; and the projection `central_product`
-    reads off the glue ideal's rows against each e_k reduced mod that
-    ideal."""
+    intersection, errors included; and the glue ideal `central_product`
+    returns, and the images `classify._push` reads off it, against the glue
+    vectors spanned and each e_k reduced mod that ideal."""
     L, subspaces = case
     for I in subspaces:
         want = _outcome(quotient_projection_by_reduction, L, I)
         table = _outcome(lambda: L.quotient(I).table)
-        if isinstance(want, Matrix):
-            assert table == quotient_table_by_kept_pairs(L, I)
-        else:
+        if _raised(want):
             assert table == want
+        else:
+            assert table == quotient_table_by_kept_pairs(L, I)
         assert _outcome(epicenter_test_dd, L, I) == _outcome(
             epicenter_test_dd_by_intersection, L, I)
     a, b, pairs = glued
-    d = direct_sum(a, b)
-    glue = span(d.field, d.dim, [x + [-c for c in y] for x, y in pairs])
-    prod, proj = central_product(a, b, pairs)
-    assert proj == quotient_projection_by_reduction(d, glue)
+    f, d = a.field, direct_sum(a, b)
+    glue = span(f, d.dim, [x + [-c for c in y] for x, y in pairs])
+    prod, returned = central_product(a, b, pairs)
+    assert returned == glue
+    proj = quotient_projection_by_reduction(d, glue)
+    for offset, factor in ((0, a), (a.dim, b)):
+        pad = [f.zero] * offset, [f.zero] * (d.dim - offset - factor.dim)
+        subs = [factor.full_space(), factor.derived_subalgebra()]
+        subs += [coordinate_subspace(f, factor.dim, [k])
+                 for k in range(factor.dim)]
+        for sub in subs:
+            images = [apply_rows(f, proj, pad[0] + list(row) + pad[1])
+                      for row in sub.basis]
+            assert _push(returned, sub, offset, prod) == span(
+                f, prod.dim, images)
     assert prod.table == quotient_table_by_kept_pairs(d, glue)
 
 

@@ -1,11 +1,11 @@
-"""Dense exact linear algebra: RREF, kernels, and canonical subspaces.
+"""Exact linear algebra: RREF, kernels, and canonical subspaces.
 
 Everything downstream (series, quotients, homology) reduces to row
 reduction over the declared field.  Subspaces are stored only in
 reduced-row-echelon canonical form, so subspace equality is structural
 equality of the stored rows.
 
-Two elimination cores sit behind one API:
+Two dense elimination cores sit behind one API, rref_rows:
 
 * over Q, rows are scaled to primitive integer vectors and eliminated with
   fraction-free integer operations (gcd-normalized after every update);
@@ -13,7 +13,13 @@ Two elimination cores sit behind one API:
 * over GF(p), rows live in numpy int64 arrays and the column eliminations are
   vectorized.  FieldSpec caps p below 2^31 so residue products fit in int64.
 
-Both cores are exact; there is no floating point and no modular lifting.
+A third routine, _echelon_sparse, needs no numpy: it reduces rows held as
+{column: scalar} dicts (ints mod p, or Fractions over Q), one row at a
+time, and returns the same canonical rows stored sparse.  The wedge
+relations of schur, whose rows have a few nonzeros over many columns, are
+reduced only this way.
+
+All three are exact; there is no floating point and no modular lifting.
 """
 
 from __future__ import annotations
@@ -150,6 +156,51 @@ def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[in
     if field.is_rationals:
         return _rref_q(rows)
     return _rref_gf(rows, field.p)
+
+
+def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
+    """Canonical RREF of sparse rows, each a {column: nonzero scalar} dict
+    with scalars canonical in `field`: {pivot: row}, each row 1 at its
+    pivot and absent (0) at every other pivot.
+
+    Rows are inserted one at a time.  A new row is cleared at the pivots
+    already taken, with one subtraction each: a stored row is 0 at every
+    other pivot, so a subtraction fills no pivot column.  What is left, if
+    anything, is scaled to 1 at its first column, and that column is
+    cleared from the stored rows.
+    """
+    p = field.p  # 0 over Q, where the scalars are Fractions
+    echelon: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in echelon]:
+            _subtract(row, row[c], echelon[c], p)
+        if not row:
+            continue
+        piv = min(row)
+        x = row[piv]
+        if x != 1:
+            inv = pow(x, -1, p) if p else 1 / x
+            row = {c: field.mul(y, inv) for c, y in row.items()}
+        for other in echelon.values():
+            y = other.get(piv)
+            if y is not None:
+                _subtract(other, y, row, p)
+        echelon[piv] = row
+    return echelon
+
+
+def _subtract(row: dict, x, other: dict, p: int) -> None:
+    """row -= x * other in place, over GF(p) (p > 0) or Q (p == 0); the
+    entries that cancel are dropped."""
+    for c, y in other.items():
+        v = row.get(c, 0) - x * y
+        if p:
+            v %= p
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 # ======================================================================

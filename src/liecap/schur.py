@@ -22,11 +22,17 @@ deg y = t-1 > c and y = 0.  Otherwise w is a sum of brackets [u, x] with
 deg x = 1, and d3(y ^ u ^ x) = [y,u] ^ x + [u,x] ^ y + [x,y] ^ u writes
 y ^ [u, x] mod J as pairs whose second factor has degree 1 or deg w - 1.
 So only the blocks t <= c+1 are reduced, each from the triples of degree
-t, and dim L ^ L = #{pairs of degree <= c+1} - sum_t dim J_t.  The
-residual of a pair mod J is read off the canonical rows of its block:
-minus the row with that pivot, the pivot entry dropped, when the pair is a
-pivot, and the pair itself otherwise.  An ungraded basis runs the same
-code with every degree 0: one block and no cut.
+t, and dim L ^ L = #{pairs of degree <= c+1} - sum_t dim J_t.
+
+J is kept sparse from end to end.  A row d3(e_i ^ e_j ^ e_k) has at most
+three brackets' worth of nonzeros, so it is built as a {column: scalar}
+dict, and each block is reduced by linalg._echelon_sparse to its
+canonical rows, stored sparse as {pivot: row}; dim J_t is the number of
+pivots.  The residual of a pair mod J is read off the canonical rows of
+its block: minus the row with that pivot, the pivot entry dropped, when
+the pair is a pivot, and the pair itself otherwise, so only a row's
+nonzero items are read.  An ungraded basis runs the same code with every
+degree 0: one block and no cut.
 
 Exterior center from the generators.  With x_l the basis of
 minimal_generators(L),
@@ -58,7 +64,8 @@ Appl. Algebra 46, 1987): dim (L/I)^(L/I) = dim L ^ L - r, with r the rank
 of L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
 L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
 residuals of v ^ x_l mod J over the generators x_l and the rows v of I:
-the rows sum_t v_t res[l][t] of the same table, one small reduction.
+the rows sum_t v_t res[l][t] of the same table, one small sparse
+reduction.
 
 Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
 when ungraded), may number at most DEFAULT_MAX_DIM: F(7,3) needs 1162,
@@ -77,7 +84,7 @@ from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
 from .liealg import DEFAULT_MAX_DIM, LieAlgebra, minimal_generators
-from .linalg import Subspace, _kernel_canonical, _span_canonical, rref_rows
+from .linalg import Subspace, _echelon_sparse, _kernel_canonical
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ class _Wedge(NamedTuple):
     """J block by block: `deg` the degrees (all 0 when ungraded), `col`
     the column of each pair (i, j), i < j, of degree <= c+1 within its
     block, and `blocks` J_t by total degree t, for each t that has
-    triples."""
+    triples, as the canonical rows of J_t stored sparse: {pivot column:
+    {column: nonzero scalar}}, each row 1 at its pivot and 0 at every
+    other pivot (linalg._echelon_sparse)."""
 
     deg: tuple
     col: dict
@@ -163,8 +172,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
     get = L.table.get
     rows: dict = {}
     for i, j, k in sorted(triples):
-        t = deg[i] + deg[j] + deg[k]
-        row = [f.zero] * width[t]
+        row: dict = {}
         # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
         # e_s ^ e_m = -(e_m ^ e_s)
         for br, m, flip in ((get((i, j)), k, False), (get((j, k)), i, False),
@@ -172,31 +180,36 @@ def _wedge(L: LieAlgebra) -> _Wedge:
             for s, x in (br or {}).items():
                 if s != m:
                     p = col[(s, m) if s < m else (m, s)]
-                    row[p] = f.add(row[p], f.neg(x) if flip != (s > m) else x)
-        rows.setdefault(t, []).append(row)
-    cached = _Wedge(deg, col, {t: _span_canonical(f, width[t], r)
+                    v = f.add(row.get(p, f.zero),
+                              f.neg(x) if flip != (s > m) else x)
+                    if v:
+                        row[p] = v
+                    else:
+                        del row[p]
+        rows.setdefault(deg[i] + deg[j] + deg[k], []).append(row)
+    cached = _Wedge(deg, col, {t: _echelon_sparse(f, r)
                                for t, r in rows.items()})
     L._cache["wedge"] = cached
     return cached
 
 
-def _generator_residuals(L: LieAlgebra) -> tuple:
-    """(width, residuals), cached on L: residuals[l] maps each basis index
-    t to the residual of e_t ^ x_l mod J, x_l the l-th minimal generator,
-    as (column, value) pairs over the columns of L ^ L.  Those are the
-    pair columns that are not J pivots, counted across the blocks, so
-    width = dim L ^ L.  Only nonzero residuals are kept."""
+def _generator_residuals(L: LieAlgebra) -> list:
+    """The generator-residual table, cached on L: its entry l maps each
+    basis index t to the residual of e_t ^ x_l mod J, x_l the l-th minimal
+    generator, as (column, value) pairs over the columns of L ^ L.  Those are the pair
+    columns that are not J pivots, numbered across the blocks, dim L ^ L
+    of them.  A pivot pair's residual is read off the items of its sparse
+    canonical row.  Only nonzero residuals are kept."""
     cached = L._cache.get("generator_residuals")
     if cached is not None:
         return cached
     f = L.field
     w = _wedge(L)
-    deg = w.deg
-    pivot_row = {t: dict(zip(J.pivots, J.basis)) for t, J in w.blocks.items()}
+    deg, blocks = w.deg, w.blocks
     free: dict = {}
     for (i, j), c in w.col.items():
         b = deg[i] + deg[j]
-        if c not in pivot_row.get(b, {}):
+        if c not in blocks.get(b, {}):
             free[(b, c)] = len(free)
     minus_one = f.neg(f.one)
     residuals = []
@@ -209,37 +222,36 @@ def _generator_residuals(L: LieAlgebra) -> tuple:
             # its canonical row, the pivot entry dropped
             b = deg[t] + deg[l]
             q = w.col[(t, l) if t < l else (l, t)]
-            row = pivot_row.get(b, {}).get(q)
+            row = blocks.get(b, {}).get(q)
             if row is None:
                 per_l[t] = ((free[(b, q)], f.one if t < l else minus_one),)
             else:
                 res = tuple((free[(b, c)], f.neg(x) if t < l else x)
-                            for c, x in enumerate(row) if x != 0 and c != q)
+                            for c, x in row.items() if c != q)
                 if res:
                     per_l[t] = res
         residuals.append(per_l)
-    cached = (len(free), residuals)
-    L._cache["generator_residuals"] = cached
-    return cached
+    L._cache["generator_residuals"] = residuals
+    return residuals
 
 
 def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
     """dim of the image of L ^ I in L ^ L, for a central ideal I: the rank
     of the rows sum_t v_t residuals[l][t], over the rows v of I and the
-    generators x_l."""
+    generators x_l, built as sparse rows and counted as the pivots of
+    their sparse echelon form."""
     f = L.field
-    width, residuals = _generator_residuals(L)
+    residuals = _generator_residuals(L)
     rows = []
     for v in I.basis:
         support = [(t, x) for t, x in enumerate(v) if x != 0]
         for per_l in residuals:
-            row = [f.zero] * width
+            row: dict = {}
             for t, x in support:
                 for i, y in per_l.get(t, ()):
-                    row[i] = f.add(row[i], f.mul(x, y))
-            if any(row):
-                rows.append(row)
-    return len(rref_rows(f, rows)[1])
+                    row[i] = f.add(row.get(i, f.zero), f.mul(x, y))
+            rows.append({i: y for i, y in row.items() if y})
+    return len(_echelon_sparse(f, rows))
 
 
 # ======================================================================
@@ -252,7 +264,7 @@ def schur_multiplier_dim(L: LieAlgebra) -> int:
 
 def exterior_square_dim(L: LieAlgebra) -> int:
     w = _wedge(L)
-    return len(w.col) - sum(J.dim for J in w.blocks.values())
+    return len(w.col) - sum(map(len, w.blocks.values()))
 
 
 def exterior_center(L: LieAlgebra) -> Subspace:
@@ -264,7 +276,7 @@ def exterior_center(L: LieAlgebra) -> Subspace:
         return cached
     f, n = L.field, L.dim
     deg = _wedge(L).deg
-    residuals = _generator_residuals(L)[1]
+    residuals = _generator_residuals(L)
     by_degree: dict = {}
     for t in range(n):
         by_degree.setdefault(deg[t], []).append(t)

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecap import (
     GF2, GF3, GF5, QQ, FieldSpec, kernel, span,
@@ -86,6 +86,50 @@ def test_rref_rows_returns_one_row_per_pivot():
             f, [[f.coerce(x) for x in row] for row in rows])
         assert pivots == [0, 2]
         assert reduced == [[1, 2, 0], [0, 0, 1]]
+
+
+@st.composite
+def _sparse_cases(draw):
+    """Rows over Q, GF(2), GF(3) and GF(5) with a zero row, repeated rows
+    and combinations of earlier rows, which cancel to zero when they are
+    inserted after the rows they combine."""
+    f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    if f.is_rationals:
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2),
+                                 Fraction(-2, 3)])
+    else:
+        entry = st.integers(0, f.p - 1)
+    n = draw(st.integers(0, 7))
+    rows = [[f.coerce(x) for x in row] for row in
+            draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          max_size=6))]
+    if rows:
+        rows.append([f.zero] * n)
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = (f.coerce(draw(entry)) for _ in range(2))
+            rows.append([f.add(f.mul(x, u), f.mul(y, v))
+                         for u, v in zip(a, b)])
+    return f, n, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_cases())
+@example((QQ, 3, []))
+@example((GF2, 3, []))
+def test_echelon_sparse_matches_rref_rows(case):
+    f, n, rows = case
+    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
+    before = [dict(row) for row in sparse]
+    echelon = linalg._echelon_sparse(f, sparse)
+    reduced, pivots = rref_rows(f, rows)
+    assert sorted(echelon) == pivots
+    for p, row in zip(pivots, reduced):
+        stored = echelon[p]
+        assert all(x != 0 and type(x) is type(f.one) for x in stored.values())
+        assert [stored.get(c, f.zero) for c in range(n)] == list(row)
+    assert sparse == before
 
 
 def test_rref_canonical_under_row_shuffle():

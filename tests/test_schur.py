@@ -496,7 +496,7 @@ def test_resource_error_when_neither_route_fits(monkeypatch):
     def reduced(*args):
         pytest.fail("J was reduced past the guard")
 
-    monkeypatch.setattr(schur, "_span_canonical", reduced)
+    monkeypatch.setattr(schur, "_echelon_sparse", reduced)
     L = build("H", QQ, m=34)
     assert L.dim == 69
     assert free_dimension(68, 3) > DEFAULT_MAX_DIM

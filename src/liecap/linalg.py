@@ -5,21 +5,19 @@ reduction over the declared field.  Subspaces are stored only in
 reduced-row-echelon canonical form, so subspace equality is structural
 equality of the stored rows.
 
-Two dense elimination cores sit behind one API, rref_rows:
+Two elimination routines sit behind one API, rref_rows:
 
-* over Q, rows are scaled to primitive integer vectors and eliminated with
-  fraction-free integer operations (gcd-normalized after every update);
-  Fractions reappear only in the final canonical rows;
-* over GF(p), rows live in numpy int64 arrays and the column eliminations are
-  vectorized.  FieldSpec caps p below 2^31 so residue products fit in int64.
+* _echelon_sparse reduces rows held as {column: scalar} dicts, one row at
+  a time, and returns the canonical rows stored sparse.  Over Q it works
+  fraction-free on primitive integer rows, and Fractions appear only in
+  the returned rows; over GF(p) the rows are ints mod p.  It reduces every
+  row over Q, and the wedge relations of schur, whose rows have a few
+  nonzeros over many columns, over every field;
+* _rref_gf reduces dense subspace rows over GF(p) in numpy int64 arrays,
+  with the column eliminations vectorized.  FieldSpec caps p below 2^31 so
+  residue products fit in int64.
 
-A third routine, _echelon_sparse, needs no numpy: it reduces rows held as
-{column: scalar} dicts (ints mod p, or Fractions over Q), one row at a
-time, and returns the same canonical rows stored sparse.  The wedge
-relations of schur, whose rows have a few nonzeros over many columns, are
-reduced only this way.
-
-All three are exact; there is no floating point and no modular lifting.
+Both are exact; there is no floating point and no modular lifting.
 """
 
 from __future__ import annotations
@@ -40,83 +38,6 @@ Vector = tuple  # tuple[Scalar, ...]
 # ======================================================================
 # elimination cores
 # ======================================================================
-
-def _primitive(row: list) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = 0
-    for x in row:
-        if x:
-            g = math.gcd(g, x)
-            if g == 1:
-                return
-    if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
-
-
-def _rref_int(work: list) -> list:
-    """Full RREF on integer rows (in place); returns pivot column list.
-
-    Rows stay integral and primitive; pivot entries are not normalized to 1
-    (the caller rescales into the field).
-    """
-    nrows = len(work)
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != r:
-            work[sel], work[r] = work[r], work[sel]
-        piv = work[r]
-        pv = piv[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            q = work[i][c]
-            if q:
-                row = work[i]
-                work[i] = [pv * x - q * y for x, y in zip(row, piv)]
-                _primitive(work[i])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _q_rows_to_int(rows: Iterable[Sequence]) -> list:
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                denom = denom * d // math.gcd(denom, d)
-        irow = ([x.numerator for x in row] if denom == 1 else
-                [x.numerator * (denom // x.denominator) for x in row])
-        _primitive(irow)
-        out.append(irow)
-    return out
-
-
-def _rref_q(rows: Iterable[Sequence]) -> tuple[list, list[int]]:
-    """RREF over Q.  Returns (canonical Fraction rows, pivots)."""
-    work = _q_rows_to_int(rows)
-    pivots = _rref_int(work)
-    zero = Fraction(0)
-    out = []
-    for i, c in enumerate(pivots):
-        pv = work[i][c]
-        out.append([Fraction(x, pv) if x else zero for x in work[i]])
-    return out, pivots
-
 
 def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
     """RREF over GF(p) via numpy.  Returns (canonical int rows, pivots)."""
@@ -153,9 +74,14 @@ def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[in
     rows = list(rows)
     if not rows:
         return [], []
-    if field.is_rationals:
-        return _rref_q(rows)
-    return _rref_gf(rows, field.p)
+    if not field.is_rationals:
+        return _rref_gf(rows, field.p)
+    echelon = _echelon_sparse(
+        field, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    pivots = sorted(echelon)
+    zero, n = field.zero, len(rows[0])
+    return [[echelon[p].get(c, zero) for c in range(n)]
+            for p in pivots], pivots
 
 
 def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
@@ -164,43 +90,75 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     pivot and absent (0) at every other pivot.
 
     Rows are inserted one at a time.  A new row is cleared at the pivots
-    already taken, with one subtraction each: a stored row is 0 at every
-    other pivot, so a subtraction fills no pivot column.  What is left, if
-    anything, is scaled to 1 at its first column, and that column is
-    cleared from the stored rows.
+    already taken, with one combination each: a stored row is 0 at every
+    other pivot, so a combination fills no pivot column.  What is left, if
+    anything, takes its first column as pivot, and that column is cleared
+    from the stored rows.
+
+    Over GF(p) the rows are ints mod p, kept 1 at their pivots.  Over Q
+    each row is scaled to a primitive integer row (denominators cleared,
+    the gcd of its entries 1) and kept so, fraction-free; only the
+    returned rows are divided by their pivot entries.
     """
-    p = field.p  # 0 over Q, where the scalars are Fractions
+    p = field.p  # 0 over Q
     echelon: dict = {}
     for row in rows:
-        row = dict(row)
+        row = dict(row) if p else _primitive_integers(row)
         for c in [c for c in row if c in echelon]:
-            _subtract(row, row[c], echelon[c], p)
+            other = echelon[c]
+            _combine(row, other[c], row[c], other, p)
         if not row:
             continue
         piv = min(row)
         x = row[piv]
-        if x != 1:
-            inv = pow(x, -1, p) if p else 1 / x
-            row = {c: field.mul(y, inv) for c, y in row.items()}
+        if p and x != 1:
+            inv = pow(x, -1, p)
+            row = {c: y * inv % p for c, y in row.items()}
+            x = 1
         for other in echelon.values():
             y = other.get(piv)
             if y is not None:
-                _subtract(other, y, row, p)
+                _combine(other, x, y, row, p)
         echelon[piv] = row
+    if not p:
+        echelon = {c: {k: Fraction(y, row[c]) for k, y in row.items()}
+                   for c, row in echelon.items()}
     return echelon
 
 
-def _subtract(row: dict, x, other: dict, p: int) -> None:
-    """row -= x * other in place, over GF(p) (p > 0) or Q (p == 0); the
-    entries that cancel are dropped."""
+def _primitive_integers(row: dict) -> dict:
+    """The primitive integer multiple of a sparse row over Q: its
+    denominators cleared and the gcd of its entries 1."""
+    den = math.lcm(*[x.denominator for x in row.values()])
+    out = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = math.gcd(*out.values())
+    return {c: y // g for c, y in out.items()} if g > 1 else out
+
+
+def _combine(row: dict, a, b, other: dict, p: int) -> None:
+    """row := a * row - b * other in place, over GF(p) (p > 0), where a is
+    1, or over Q (p == 0) on primitive integer rows, where a and b are
+    first divided by their gcd and row is left primitive; the entries that
+    cancel are dropped."""
+    if not p:
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, y in other.items():
-        v = row.get(c, 0) - x * y
+        v = row.get(c, 0) - b * y
         if p:
             v %= p
         if v:
             row[c] = v
         else:
             del row[c]
+    if not p:
+        g = math.gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
 
 
 # ======================================================================

@@ -26,6 +26,9 @@ and bracket check;
 the stem decomposition L = T (+) A (`stem_decompose`, built with
 `extend_to_complement` and `subalgebra_on`), which checks the class-2
 rule's stem dimension; `subspace_sum` and `coordinates`.
+
+`gauss_jordan` is textbook dense elimination with FieldSpec arithmetic,
+the reference that the package's row reduction is compared with.
 """
 
 import itertools
@@ -49,6 +52,30 @@ from liecap.linalg import (
     zero_subspace,
 )
 from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
+
+
+def gauss_jordan(f, rows) -> tuple:
+    """(the nonzero RREF rows, their pivots) of dense rows over f, by
+    Gauss-Jordan elimination: for each column, move the first remaining
+    row nonzero there up, scale it to 1 there, and clear the column from
+    every other row."""
+    work = [list(row) for row in rows]
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        x = work[r][c]
+        inv = f.one / x if f.is_rationals else pow(x, -1, f.p)
+        work[r] = [f.mul(inv, y) for y in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c] != 0:
+                work[i] = [f.sub(y, f.mul(row[c], z))
+                           for y, z in zip(row, work[r])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
 
 
 def lyndon_count(d: int, k: int) -> int:

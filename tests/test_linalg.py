@@ -29,6 +29,7 @@ from oracles import (
     coordinates,
     extend_to_complement,
     extend_to_complement_greedy,
+    gauss_jordan,
     reduce_rows,
     solve_right_inverse,
     subspace_sum,
@@ -92,11 +93,14 @@ def test_rref_rows_returns_one_row_per_pivot():
 def _sparse_cases(draw):
     """Rows over Q, GF(2), GF(3) and GF(5) with a zero row, repeated rows
     and combinations of earlier rows, which cancel to zero when they are
-    inserted after the rows they combine."""
+    inserted after the rows they combine.  Over Q the entries have common
+    factors and denominators, so rows are made primitive and combined
+    with multipliers other than 1."""
     f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
     if f.is_rationals:
-        entry = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2),
-                                 Fraction(-2, 3)])
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, 12, -15, Fraction(1, 2),
+                                 Fraction(-2, 3), Fraction(7, 9),
+                                 Fraction(-5, 6)])
     else:
         entry = st.integers(0, f.p - 1)
     n = draw(st.integers(0, 7))
@@ -118,12 +122,13 @@ def _sparse_cases(draw):
 @given(_sparse_cases())
 @example((QQ, 3, []))
 @example((GF2, 3, []))
-def test_echelon_sparse_matches_rref_rows(case):
+def test_echelon_sparse_and_rref_rows_match_gauss_jordan(case):
     f, n, rows = case
     sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
     before = [dict(row) for row in sparse]
     echelon = linalg._echelon_sparse(f, sparse)
-    reduced, pivots = rref_rows(f, rows)
+    reduced, pivots = gauss_jordan(f, rows)
+    assert rref_rows(f, rows) == (reduced, pivots)
     assert sorted(echelon) == pivots
     for p, row in zip(pivots, reduced):
         stored = echelon[p]

@@ -528,11 +528,15 @@ def test_wedge_guard_raises_before_listing_the_pairs():
 
 @st.composite
 def _rebased(draw):
-    """(L, P^-1, L') with L a catalog algebra, P an invertible matrix drawn
-    as (permutation) . (unit lower) . (invertible upper), and L' the same
-    algebra on the basis f_a = sum_i P[i][a] e_i."""
+    """(L, P^-1, L') with L a catalog algebra, or F(3,3) or F(2,4) in the
+    Hall basis, P an invertible matrix drawn as (permutation) . (unit
+    lower) . (invertible upper), and L' the same algebra on the basis
+    f_a = sum_i P[i][a] e_i.  A rebased free algebra gives J hundreds of
+    rows in one ungraded block, whose echelon form over Q has entries
+    far larger than the table's."""
     f = draw(st.sampled_from([QQ, GF2, GF3]))
-    L = draw(st.sampled_from(standard_instances(f)))
+    L = draw(st.sampled_from(standard_instances(f) + [
+        free_nilpotent(d, c, f).algebra for d, c in ((3, 3), (2, 4))]))
     n = L.dim
     if f.is_rationals:
         entry, nonzero = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])

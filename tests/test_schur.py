@@ -531,9 +531,9 @@ def _rebased(draw):
     """(L, P^-1, L') with L a catalog algebra, or F(3,3) or F(2,4) in the
     Hall basis, P an invertible matrix drawn as (permutation) . (unit
     lower) . (invertible upper), and L' the same algebra on the basis
-    f_a = sum_i P[i][a] e_i.  A rebased free algebra gives J hundreds of
-    rows in one ungraded block, whose echelon form over Q has entries
-    far larger than the table's."""
+    f_a = sum_i P[i][a] e_i.  Rebased F(3,3) gives J 364 rows in one
+    ungraded block, whose echelon form over Q has entries much larger
+    than the table's."""
     f = draw(st.sampled_from([QQ, GF2, GF3]))
     L = draw(st.sampled_from(standard_instances(f) + [
         free_nilpotent(d, c, f).algebra for d, c in ((3, 3), (2, 4))]))

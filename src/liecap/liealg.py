@@ -38,17 +38,17 @@ class LieAlgebra:
     to zero.  The Jacobi identity is checked by validate(), not assumed.
 
     `_cache` keeps data derived from the table for the algebra's lifetime.
-    Cache keys: `derived`, `center`, `degrees` and `lcs` (here), `wedge`,
-    `exterior_center`, `generator_residuals` and (`bound`, I) per central
-    ideal I (schur).
+    Cache keys: `derived`, `center`, `degrees` and `lcs` (here); `wedge`
+    (the degrees, dim L ^ L and the generator residuals mod J, not J's
+    rows), `exterior_center` and (`bound`, I) per central ideal I (schur).
     """
 
     __slots__ = ("field", "dim", "table", "name", "_cache")
 
     def __init__(self, field: FieldSpec, dim: int,
                  brackets: Mapping | None = None, name: str = ""):
-        if dim < 0:
-            raise ShapeError("negative dimension")
+        if not linalg._is_int(dim) or dim < 0:
+            raise ShapeError(f"dimension {dim!r} is not an int >= 0")
         if dim > DEFAULT_MAX_DIM:
             raise ResourceError(f"dimension {dim} is past the size guard "
                                 f"{DEFAULT_MAX_DIM}")
@@ -56,12 +56,13 @@ class LieAlgebra:
         self.dim = dim
         table: dict = {}
         for (i, j), out in (brackets or {}).items():
-            if not (0 <= i < j < dim):
+            if not (linalg._is_int(i) and linalg._is_int(j)
+                    and 0 <= i < j < dim):
                 raise ShapeError(f"bad bracket pair ({i}, {j}) for dim {dim}")
             entry: SparseVec = {}
             items = out.items() if isinstance(out, Mapping) else out
             for k, c in items:
-                if not 0 <= k < dim:
+                if not (linalg._is_int(k) and 0 <= k < dim):
                     raise ShapeError(f"bracket target {k} out of range")
                 c = field.coerce(c)
                 if c != 0:

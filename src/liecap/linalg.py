@@ -223,8 +223,16 @@ class Subspace:
         return f"Subspace({self.field}, dim {self.dim} of {self.ambient_dim})"
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: a dimension or a basis index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
-    """Outside rows, coerced into `field` and checked to have n entries."""
+    """Outside rows, coerced into `field` and checked to have n entries,
+    n an int >= 0."""
+    if not _is_int(n) or n < 0:
+        raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
     rows = [tuple(field.coerce(x) for x in row) for row in rows]
     for row in rows:
         if len(row) != n:

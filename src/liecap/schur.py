@@ -14,25 +14,27 @@ the table, as rows over the basis pairs e_i ^ e_j (i < j) in
 lexicographic order.
 
 Degree cut.  When the basis is standard-graded (LieAlgebra.degrees, with
-V_k = [V_1, V_{k-1}] for k >= 2), d3 preserves total degree, so J is the
-direct sum of its blocks J_t of total degree t, and every pair of total
-degree >= c+2 lies in J, c the class.  Proof: for homogeneous y, w with
-deg y + deg w = t >= c+2, induct on deg w.  If deg w = 1 then
-deg y = t-1 > c and y = 0.  Otherwise w is a sum of brackets [u, x] with
-deg x = 1, and d3(y ^ u ^ x) = [y,u] ^ x + [u,x] ^ y + [x,y] ^ u writes
-y ^ [u, x] mod J as pairs whose second factor has degree 1 or deg w - 1.
-So only the blocks t <= c+1 are reduced, each from the triples of degree
-t, and dim L ^ L = #{pairs of degree <= c+1} - sum_t dim J_t.
+V_k = [V_1, V_{k-1}] for k >= 2), d3 preserves total degree, and every
+pair of total degree >= c+2 lies in J, c the class.  Proof: for
+homogeneous y, w with deg y + deg w = t >= c+2, induct on deg w.  If
+deg w = 1 then deg y = t-1 > c and y = 0.  Otherwise w is a sum of
+brackets [u, x] with deg x = 1, and d3(y ^ u ^ x) = [y,u] ^ x + [u,x] ^ y
++ [x,y] ^ u writes y ^ [u, x] mod J as pairs whose second factor has
+degree 1 or deg w - 1.
+So the columns are the pairs of degree <= c+1 and the rows d3 of the
+triples of degree <= c+1, and dim L ^ L = #{pairs of degree <= c+1} -
+the rank of those rows.
 
 J is kept sparse from end to end.  A row d3(e_i ^ e_j ^ e_k) has at most
 three brackets' worth of nonzeros, so it is built as a {column: scalar}
-dict, and each block is reduced by linalg._echelon_sparse to its
-canonical rows, stored sparse as {pivot: row}; dim J_t is the number of
-pivots.  The residual of a pair mod J is read off the canonical rows of
-its block: minus the row with that pivot, the pivot entry dropped, when
-the pair is a pivot, and the pair itself otherwise, so only a row's
-nonzero items are read.  An ungraded basis runs the same code with every
-degree 0: one block and no cut.
+dict over the pairs, numbered once in lexicographic order, and all rows
+go into one linalg._echelon_sparse call, whose canonical rows are stored
+sparse as {pivot: row}; the rank is the number of pivots.  The residual
+of a pair mod J is read off them: minus the row with that pivot, the
+pivot entry dropped, when the pair is a pivot, and the pair itself
+otherwise, so only a row's nonzero items are read.  The residuals below
+are read in the same pass, and J's rows are not kept.  An ungraded basis
+runs the same code with every degree 0: no cut.
 
 Exterior center from the generators.  With x_l the basis of
 minimal_generators(L),
@@ -46,8 +48,8 @@ to [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 (Jacobi).  So z ^ x_l in J gives
 and the x_l generate L.  For central z, d3(a ^ b ^ z) = [a,b] ^ z puts
 z ^ L^2 inside J, and L is span(x_l) + L^2.  That is d*n pairs to
 reduce, not n^2.  A generator of a graded basis has degree 1, so every
-pair e_t ^ x_l has degree <= c+1 and is a column of its block; none lies
-past the cut.
+pair e_t ^ x_l has degree <= c+1 and is a column; none lies past the
+cut.
 
 One table, res[l][t] = the residual of e_t ^ x_l mod J for each basis
 index t and generator x_l, as sparse rows over the pair columns that are
@@ -117,23 +119,25 @@ class DDResult(NamedTuple):
 # ======================================================================
 
 class _Wedge(NamedTuple):
-    """J block by block: `deg` the degrees (all 0 when ungraded), `col`
-    the column of each pair (i, j), i < j, of degree <= c+1 within its
-    block, and `blocks` J_t by total degree t, for each t that has
-    triples, as the canonical rows of J_t stored sparse: {pivot column:
-    {column: nonzero scalar}}, each row 1 at its pivot and 0 at every
-    other pivot (linalg._echelon_sparse)."""
+    """What the wedge route keeps of J: `deg` the degrees (all 0 when
+    ungraded), `ncols` the pairs of degree <= c+1, which are the columns
+    reduced, `dim` = dim L ^ L, and `residuals`, whose entry l maps each
+    basis index t to the residual of e_t ^ x_l mod J, x_l the l-th minimal
+    generator, as (column, value) pairs over the dim L ^ L pair columns
+    that are not J pivots.  Only nonzero residuals are kept."""
 
     deg: tuple
-    col: dict
-    blocks: dict
+    ncols: int
+    dim: int
+    residuals: list
 
 
 def _wedge(L: LieAlgebra) -> _Wedge:
-    """J = im d3 in total degree <= c+1, cached on L.  The class c is
-    max deg for a standard-graded basis; an ungraded one is checked for
-    nilpotency and runs as one block of degree 0, where no cut applies.
-    The size guard is checked before anything is built."""
+    """J = im d3 in total degree <= c+1, reduced in one sparse echelon
+    and cached on L as a _Wedge, without J's rows.  The class c is max deg
+    for a standard-graded basis; an ungraded one is checked for
+    nilpotency and runs with every degree 0, where no cut applies.  The
+    size guard is checked before anything is built."""
     cached = L._cache.get("wedge")
     if cached is not None:
         return cached
@@ -152,14 +156,9 @@ def _wedge(L: LieAlgebra) -> _Wedge:
         raise ResourceError(
             f"the wedge route would reduce {ncols} columns of "
             f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
-    col: dict = {}
-    width: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = deg[i] + deg[j]
-            if t <= cut:
-                col[(i, j)] = width.get(t, 0)
-                width[t] = col[(i, j)] + 1
+    col = {pair: c for c, pair in enumerate(
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if deg[i] + deg[j] <= cut)}
     # the triples that meet a table entry, within the cut; index order
     # need not follow degree
     order = sorted(range(n), key=deg.__getitem__)
@@ -170,7 +169,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
         triples.update(tuple(sorted((a, b, m))) for m in order[:room]
                        if m != a and m != b)
     get = L.table.get
-    rows: dict = {}
+    rows = []
     for i, j, k in sorted(triples):
         row: dict = {}
         # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
@@ -186,53 +185,31 @@ def _wedge(L: LieAlgebra) -> _Wedge:
                         row[p] = v
                     else:
                         del row[p]
-        rows.setdefault(deg[i] + deg[j] + deg[k], []).append(row)
-    cached = _Wedge(deg, col, {t: _echelon_sparse(f, r)
-                               for t, r in rows.items()})
-    L._cache["wedge"] = cached
-    return cached
-
-
-def _generator_residuals(L: LieAlgebra) -> list:
-    """The generator-residual table, cached on L: its entry l maps each
-    basis index t to the residual of e_t ^ x_l mod J, x_l the l-th minimal
-    generator, as (column, value) pairs over the columns of L ^ L.  Those are the pair
-    columns that are not J pivots, numbered across the blocks, dim L ^ L
-    of them.  A pivot pair's residual is read off the items of its sparse
-    canonical row.  Only nonzero residuals are kept."""
-    cached = L._cache.get("generator_residuals")
-    if cached is not None:
-        return cached
-    f = L.field
-    w = _wedge(L)
-    deg, blocks = w.deg, w.blocks
-    free: dict = {}
-    for (i, j), c in w.col.items():
-        b = deg[i] + deg[j]
-        if c not in blocks.get(b, {}):
-            free[(b, c)] = len(free)
+        rows.append(row)
+    echelon = _echelon_sparse(f, rows)
+    free = {c: i for i, c in enumerate(c for c in range(ncols)
+                                       if c not in echelon)}
     minus_one = f.neg(f.one)
     residuals = []
     for l in minimal_generators(L).pivots:
         per_l = {}
-        for t in range(L.dim):
+        for t in range(n):
             if t == l:
                 continue
-            # e_t ^ e_l = -(e_l ^ e_t); a pivot pair's residual is minus
-            # its canonical row, the pivot entry dropped
-            b = deg[t] + deg[l]
-            q = w.col[(t, l) if t < l else (l, t)]
-            row = blocks.get(b, {}).get(q)
+            # e_t ^ e_l = -(e_l ^ e_t)
+            q = col[(t, l) if t < l else (l, t)]
+            row = echelon.get(q)
             if row is None:
-                per_l[t] = ((free[(b, q)], f.one if t < l else minus_one),)
+                per_l[t] = ((free[q], f.one if t < l else minus_one),)
             else:
-                res = tuple((free[(b, c)], f.neg(x) if t < l else x)
+                res = tuple((free[c], f.neg(x) if t < l else x)
                             for c, x in row.items() if c != q)
                 if res:
                     per_l[t] = res
         residuals.append(per_l)
-    L._cache["generator_residuals"] = residuals
-    return residuals
+    cached = _Wedge(deg, ncols, len(free), residuals)
+    L._cache["wedge"] = cached
+    return cached
 
 
 def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
@@ -241,7 +218,7 @@ def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
     generators x_l, built as sparse rows and counted as the pivots of
     their sparse echelon form."""
     f = L.field
-    residuals = _generator_residuals(L)
+    residuals = _wedge(L).residuals
     rows = []
     for v in I.basis:
         support = [(t, x) for t, x in enumerate(v) if x != 0]
@@ -263,8 +240,7 @@ def schur_multiplier_dim(L: LieAlgebra) -> int:
 
 
 def exterior_square_dim(L: LieAlgebra) -> int:
-    w = _wedge(L)
-    return len(w.col) - sum(map(len, w.blocks.values()))
+    return _wedge(L).dim
 
 
 def exterior_center(L: LieAlgebra) -> Subspace:
@@ -275,8 +251,8 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     if cached is not None:
         return cached
     f, n = L.field, L.dim
-    deg = _wedge(L).deg
-    residuals = _generator_residuals(L)
+    w = _wedge(L)
+    deg, residuals = w.deg, w.residuals
     by_degree: dict = {}
     for t in range(n):
         by_degree.setdefault(deg[t], []).append(t)
@@ -329,7 +305,7 @@ def epicenter_test_dd(L: LieAlgebra, I: Subspace) -> DDResult:
     L ^ I modulo J.  For central I, d3(a ^ b ^ v) = [a,b] ^ v puts
     L^2 ^ I inside J, and L is span(x_l) + L^2, so r is the rank of the
     residuals of v ^ x_l mod J over the generators x_l and the rows v of
-    I, read off the generator-residual table that exterior_center reads
+    I, read off the residual table of _wedge that exterior_center reads
     too.  Since dim M(L) = dim L ^ L - dim L^2, the right side is lhs - r.
 
     (r, containment of I in Z^(L)) is cached on L under ("bound", I): I

@@ -100,6 +100,17 @@ def test_table_entries_out_of_range_rejected():
         LieAlgebra(QQ, 2, {(0, 1): {3: Fraction(1)}})
 
 
+@pytest.mark.parametrize("dim, brackets", [
+    (2.5, {}), (True, {}), (3, {(0.5, 2): {1: 1}}), (3, {(False, 2): {1: 1}}),
+    (3, {(0, 2): {1.0: 1}}), (3, {(0, 2): {True: 1}}),
+])
+def test_non_int_dimension_or_index_rejected(dim, brackets):
+    # (0.5, 2) used to pass validate() and make homology raise TypeError
+    with pytest.raises(ShapeError, match="is not an int|bad bracket pair"
+                                         "|bracket target"):
+        LieAlgebra(QQ, dim, brackets)
+
+
 def test_size_guard_rejects_dimension_past_the_guard():
     assert LieAlgebra(QQ, DEFAULT_MAX_DIM).dim == DEFAULT_MAX_DIM
     with pytest.raises(ResourceError, match="dimension 2001 is past"):

@@ -186,6 +186,13 @@ def test_coordinates_reconstruct_vector():
     assert coordinates(span(GF3, 2, [[1, 0]]), (4, 3)) == (1,)
 
 
+@pytest.mark.parametrize("make", [span, kernel])
+@pytest.mark.parametrize("n", [-3, -2, 2.0, True, "3"])
+def test_ambient_dimension_must_be_a_nonnegative_int(make, n):
+    with pytest.raises(ShapeError, match="ambient dimension .* is not an int"):
+        make(QQ, n, [])
+
+
 def test_coordinates_rejects_outside_vector():
     s = span(QQ, 3, [[1, 0, 0]])
     with pytest.raises(ShapeError):

@@ -187,7 +187,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
                         del row[p]
         rows.append(row)
     echelon = _echelon_sparse(f, rows)
-    free = {c: i for i, c in enumerate(c for c in range(ncols)
+    free = {c: i for i, c in enumerate(c for c in col.values()
                                        if c not in echelon)}
     minus_one = f.neg(f.one)
     residuals = []
@@ -196,7 +196,8 @@ def _wedge(L: LieAlgebra) -> _Wedge:
         for t in range(n):
             if t == l:
                 continue
-            # e_t ^ e_l = -(e_l ^ e_t)
+            # e_t ^ e_l = -(e_l ^ e_t); a pivot pair's residual is minus
+            # its canonical row, the pivot entry dropped
             q = col[(t, l) if t < l else (l, t)]
             row = echelon.get(q)
             if row is None:
@@ -207,7 +208,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
                 if res:
                     per_l[t] = res
         residuals.append(per_l)
-    cached = _Wedge(deg, ncols, len(free), residuals)
+    cached = _Wedge(deg, len(col), len(free), residuals)
     L._cache["wedge"] = cached
     return cached
 

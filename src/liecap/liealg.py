@@ -53,7 +53,7 @@ class LieAlgebra:
             raise ResourceError(f"dimension {dim} is past the size guard "
                                 f"{DEFAULT_MAX_DIM}")
         self.field = field
-        self.dim = dim
+        self.dim = dim = int(dim)
         table: dict = {}
         for (i, j), out in (brackets or {}).items():
             if not (linalg._is_int(i) and linalg._is_int(j)
@@ -64,13 +64,13 @@ class LieAlgebra:
             for k, c in items:
                 if not (linalg._is_int(k) and 0 <= k < dim):
                     raise ShapeError(f"bracket target {k} out of range")
-                c = field.coerce(c)
+                k, c = int(k), field.coerce(c)
                 if c != 0:
                     entry[k] = field.add(entry.get(k, field.zero), c)
                     if entry[k] == 0:
                         del entry[k]
             if entry:
-                table[(i, j)] = entry
+                table[(int(i), int(j))] = entry
         self.table = table
         self.name = name
         self._cache: dict = {}

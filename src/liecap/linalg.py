@@ -23,8 +23,10 @@ Both are exact; there is no floating point and no modular lifting.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,7 +95,11 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     already taken, with one combination each: a stored row is 0 at every
     other pivot, so a combination fills no pivot column.  What is left, if
     anything, takes its first column as pivot, and that column is cleared
-    from the stored rows.
+    from the stored rows.  Those rows are found through an index from each
+    column to the stored rows that may be nonzero there (kept by adding a
+    row wherever a combination makes it nonzero, so cancelled entries may
+    linger), not by a scan of every stored row: rows of a block-diagonal
+    input, like the wedge relations of each degree, never meet.
 
     Over GF(p) the rows are ints mod p, kept 1 at their pivots.  Over Q
     each row is scaled to a primitive integer row (denominators cleared,
@@ -102,6 +108,8 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     """
     p = field.p  # 0 over Q
     echelon: dict = {}
+    # column -> the pivots of the stored rows that may be nonzero there
+    holders: defaultdict = defaultdict(set)
     for row in rows:
         row = dict(row) if p else _primitive_integers(row)
         for c in [c for c in row if c in echelon]:
@@ -115,10 +123,14 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
             inv = pow(x, -1, p)
             row = {c: y * inv % p for c, y in row.items()}
             x = 1
-        for other in echelon.values():
+        for c in row:
+            holders[c].add(piv)
+        for q in holders.pop(piv) - {piv}:
+            other = echelon[q]
             y = other.get(piv)
             if y is not None:
-                _combine(other, x, y, row, p)
+                for c in _combine(other, x, y, row, p):
+                    holders[c].add(q)
         echelon[piv] = row
     if not p:
         echelon = {c: {k: Fraction(y, row[c]) for k, y in row.items()}
@@ -135,19 +147,26 @@ def _primitive_integers(row: dict) -> dict:
     return {c: y // g for c, y in out.items()} if g > 1 else out
 
 
-def _combine(row: dict, a, b, other: dict, p: int) -> None:
+def _combine(row: dict, a, b, other: dict, p: int) -> list:
     """row := a * row - b * other in place, over GF(p) (p > 0), where a is
     1, or over Q (p == 0) on primitive integer rows, where a and b are
     first divided by their gcd and row is left primitive; the entries that
-    cancel are dropped."""
+    cancel are dropped.  Returns the columns that were 0 in row before."""
     if not p:
         g = math.gcd(a, b)
         a, b = a // g, b // g
     if a != 1:
         for c in row:
             row[c] *= a
+    fresh = []
     for c, y in other.items():
-        v = row.get(c, 0) - b * y
+        x = row.get(c)
+        if x is None:
+            # b, y != 0, so the new entry is not 0
+            row[c] = -b * y % p if p else -b * y
+            fresh.append(c)
+            continue
+        v = x - b * y
         if p:
             v %= p
         if v:
@@ -159,6 +178,7 @@ def _combine(row: dict, a, b, other: dict, p: int) -> None:
         if g > 1:
             for c in row:
                 row[c] //= g
+    return fresh
 
 
 # ======================================================================
@@ -224,8 +244,10 @@ class Subspace:
 
 
 def _is_int(x) -> bool:
-    """An int that is not a bool: a dimension or a basis index."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An integer (a numpy one too) that is not a bool: a dimension or a
+    basis index."""
+    return type(x) is int or (isinstance(x, Integral)
+                              and not isinstance(x, bool))
 
 
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:

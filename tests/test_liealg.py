@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from liecap.liealg import (
     minimal_generators,
 )
 from liecap.linalg import zero_subspace
+from liecap.schur import homology
 from liecap.catalog import build, standard_instances
 
 from oracles import (
@@ -109,6 +111,18 @@ def test_non_int_dimension_or_index_rejected(dim, brackets):
     with pytest.raises(ShapeError, match="is not an int|bad bracket pair"
                                          "|bracket target"):
         LieAlgebra(QQ, dim, brackets)
+
+
+def test_numpy_integer_dimension_and_indices_accepted():
+    # numpy integers, e.g. indices taken from np.nonzero, are integers
+    three, zero, one, two = (np.int64(k) for k in (3, 0, 1, 2))
+    L = LieAlgebra(QQ, three, {(zero, one): {two: 1}})
+    M = LieAlgebra(QQ, 3, {(0, 1): {2: 1}})
+    assert type(L.dim) is int and L.dim == 3
+    assert L.table == M.table
+    assert all(type(k) is int for pair, out in L.table.items()
+               for k in (*pair, *out))
+    assert homology(L) == homology(M)
 
 
 def test_size_guard_rejects_dimension_past_the_guard():

@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -191,6 +192,11 @@ def test_coordinates_reconstruct_vector():
 def test_ambient_dimension_must_be_a_nonnegative_int(make, n):
     with pytest.raises(ShapeError, match="ambient dimension .* is not an int"):
         make(QQ, n, [])
+
+
+@pytest.mark.parametrize("make", [span, kernel])
+def test_numpy_integer_ambient_dimension_accepted(make):
+    assert make(QQ, np.int64(2), [[1, 0]]) == make(QQ, 2, [[1, 0]])
 
 
 def test_coordinates_rejects_outside_vector():

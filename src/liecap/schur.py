@@ -29,10 +29,12 @@ J is kept sparse from end to end.  A row d3(e_i ^ e_j ^ e_k) has at most
 three brackets' worth of nonzeros, so it is built as a {column: scalar}
 dict over the pairs, numbered once in lexicographic order, and all rows
 go into one linalg._echelon_sparse call, whose canonical rows are stored
-sparse as {pivot: row}; the rank is the number of pivots.  The residual
-of a pair mod J is read off them: minus the row with that pivot, the
-pivot entry dropped, when the pair is a pivot, and the pair itself
-otherwise, so only a row's nonzero items are read.  The residuals below
+sparse as {pivot: row}; the rank is the number of pivots.  Rows of
+different degrees share no column, and the echelon's column index never
+visits a row of another degree.  The residual of a pair mod J is read
+off them: minus the row with that pivot, the pivot entry dropped, when
+the pair is a pivot, and the pair itself otherwise, so only a row's
+nonzero items are read.  The residuals below
 are read in the same pass, and J's rows are not kept.  An ungraded basis
 runs the same code with every degree 0: no cut.
 

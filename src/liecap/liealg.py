@@ -169,23 +169,18 @@ class LieAlgebra:
         a._check_mate(b)
         if a.ambient_dim != self.dim:
             raise ShapeError("subspace ambient does not match algebra dim")
-        n = self.dim
         sb = [{j: c for j, c in enumerate(y) if c != 0} for y in b.basis]
         rows = []
         for x in a.basis:
             sx = {i: c for i, c in enumerate(x) if c != 0}
-            for sy in sb:
-                sv = self.bracket_sparse(sx, sy)
-                if sv:
-                    rows.append(self._densify(sv))
-        return linalg._span_canonical(self.field, n, rows)
+            rows += [self.bracket_sparse(sx, sy) for sy in sb]
+        return linalg._span_canonical(self.field, self.dim, rows)
 
     def derived_subalgebra(self) -> Subspace:
         """L^2, the span of the table's values."""
         if "derived" not in self._cache:
             self._cache["derived"] = linalg._span_canonical(
-                self.field, self.dim,
-                [self._densify(sv) for sv in self.table.values()])
+                self.field, self.dim, self.table.values())
         return self._cache["derived"]
 
     def center(self) -> Subspace:
@@ -197,23 +192,20 @@ class LieAlgebra:
 
     def _center_mod(self, z: Subspace) -> Subspace:
         """{v : [v, e_j] in z for every j}, the kernel of v -> ([v, e_j] mod
-        z)_j assembled from the table, one residual per table entry."""
-        f, n = self.field, self.dim
+        z)_j assembled from the table as sparse rows, one per (j, t): the
+        table entry (i, j) puts c = [e_i, e_j]_t mod z in row (j, t) at
+        column i and -c in row (i, t) at column j.  A row meets each
+        column through one table entry, so nothing is summed."""
+        f = self.field
         rows: dict = {}
         for (i, j), entry in self.table.items():
             if z.basis:
                 entry = {t: c for t, c in
                          enumerate(z.reduce(self._densify(entry))) if c != 0}
             for t, c in entry.items():
-                key = (j, t)
-                if key not in rows:
-                    rows[key] = [f.zero] * n
-                rows[key][i] = f.add(rows[key][i], c)
-                key = (i, t)
-                if key not in rows:
-                    rows[key] = [f.zero] * n
-                rows[key][j] = f.sub(rows[key][j], c)
-        return linalg._kernel_canonical(f, n, [rows[k] for k in sorted(rows)])
+                rows.setdefault((j, t), {})[i] = c
+                rows.setdefault((i, t), {})[j] = f.neg(c)
+        return linalg._kernel_canonical(f, self.dim, rows.values())
 
     def degrees(self) -> Optional[tuple]:
         """The degree of each basis vector when the basis is standard-graded,

@@ -5,17 +5,21 @@ reduction over the declared field.  Subspaces are stored only in
 reduced-row-echelon canonical form, so subspace equality is structural
 equality of the stored rows.
 
-Two elimination routines sit behind one API, rref_rows:
+Two elimination routines remain:
 
 * _echelon_sparse reduces rows held as {column: scalar} dicts, one row at
   a time, and returns the canonical rows stored sparse.  Over Q it works
   fraction-free on primitive integer rows, and Fractions appear only in
-  the returned rows; over GF(p) the rows are ints mod p.  It reduces every
-  row over Q, and the wedge relations of schur, whose rows have a few
-  nonzeros over many columns, over every field;
-* _rref_gf reduces dense subspace rows over GF(p) in numpy int64 arrays,
-  with the column eliminations vectorized.  FieldSpec caps p below 2^31 so
-  residue products fit in int64.
+  the returned rows; over GF(p) the rows are ints mod p.  It reduces
+  every row the library builds itself, on every field: the wedge
+  relations of schur, and the subspaces of L that _span_canonical and
+  _kernel_canonical take as dicts (L^2, [A, B], the centers and Z^(L)),
+  which are written dense only for the returned Subspace.  Over Q it
+  reduces the dense rows of rref_rows too;
+* _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
+  column eliminations vectorized.  Only rref_rows reaches it, for the
+  outside rows of span() and for subspace_intersect.  FieldSpec caps p
+  below 2^31 so residue products fit in int64.
 
 Both are exact; there is no floating point and no modular lifting.
 """
@@ -23,6 +27,7 @@ Both are exact; there is no floating point and no modular lifting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,18 +268,26 @@ def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
 
 
 def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
-    return _span_canonical(field, ambient_dim,
-                           _coerced(field, ambient_dim, rows))
+    reduced, pivots = rref_rows(field, _coerced(field, ambient_dim, rows))
+    return Subspace(field, ambient_dim, tuple(map(tuple, reduced)),
+                    tuple(pivots))
 
 
 def _span_canonical(field: FieldSpec, ambient_dim: int,
-                    rows: Iterable[Sequence]) -> Subspace:
-    """span() for rows the library built itself: scalars already canonical
-    in `field` and every row of length `ambient_dim`, so nothing is coerced
-    or checked again."""
-    reduced, pivots = rref_rows(field, rows)
-    return Subspace(field, ambient_dim, tuple(map(tuple, reduced)),
-                    tuple(pivots))
+                    rows: Iterable[dict]) -> Subspace:
+    """span() for rows the library built itself, as {column: scalar}
+    dicts with nonzero scalars canonical in `field` and columns in
+    range(ambient_dim), so nothing is coerced or checked again.  They are
+    reduced sparse, and written dense only for the returned Subspace."""
+    echelon = _echelon_sparse(field, rows)
+    pivots = sorted(echelon)
+    basis = []
+    for p in pivots:
+        v = [field.zero] * ambient_dim
+        for c, x in echelon[p].items():
+            v[c] = x
+        basis.append(tuple(v))
+    return Subspace(field, ambient_dim, tuple(basis), tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, n: int) -> Subspace:
@@ -301,11 +314,13 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
 def kernel(field: FieldSpec, ncols: int, rows: Iterable[Sequence]) -> Subspace:
     """Null space {v : row . v = 0 for every row} as a canonical Subspace
     of field^ncols."""
-    return _kernel_canonical(field, ncols, _coerced(field, ncols, rows))
+    return _kernel_canonical(field, ncols, [
+        {c: x for c, x in enumerate(row) if x}
+        for row in _coerced(field, ncols, rows)])
 
 
 def _kernel_canonical(field: FieldSpec, ncols: int,
-                      rows: Iterable[Sequence]) -> Subspace:
+                      rows: Iterable[dict]) -> Subspace:
     """kernel() for rows the library built itself, as for _span_canonical.
 
     One reduction with the columns reversed leaves each row nonzero only at
@@ -315,31 +330,33 @@ def _kernel_canonical(field: FieldSpec, ncols: int,
     basis, with pivots at the free columns, so nothing is reduced again.
     """
     f, n = field, ncols
-    rows, pivots = rref_rows(f, [row[::-1] for row in rows])
-    pivcols = [n - 1 - p for p in pivots]
-    free = sorted(set(range(n)).difference(pivcols))
-    basis = []
-    for c in free:
-        v = [f.zero] * n
+    echelon = _echelon_sparse(
+        f, ({n - 1 - c: x for c, x in row.items()} for row in rows))
+    free = sorted(set(range(n)).difference(n - 1 - q for q in echelon))
+    null = {c: [f.zero] * n for c in free}
+    for c, v in null.items():
         v[c] = f.one
-        for row, pc in zip(rows, pivcols):
-            x = row[n - 1 - c]
-            if x != 0:
-                v[pc] = f.neg(x)
-        basis.append(tuple(v))
-    return Subspace(f, n, tuple(basis), tuple(free))
+    for q, row in echelon.items():
+        for k, x in row.items():
+            if k != q:
+                null[n - 1 - k][n - 1 - q] = f.neg(x)
+    return Subspace(f, n, tuple(tuple(null[c]) for c in free), tuple(free))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by Zassenhaus block reduction: the reduced rows of
-    [a | a] over [b | 0] whose left half vanishes span a cap b."""
+    [a | a] over [b | 0] whose left half vanishes span a cap b.  They are
+    the rows with pivots past n, and their right halves are already
+    canonical: each is 1 at its pivot, where every other row is 0."""
     a._check_mate(b)
     f, n = a.field, a.ambient_dim
     zero = [f.zero] * n
     stacked = [list(row) + list(row) for row in a.basis]
     stacked += [list(row) + zero for row in b.basis]
-    reduced, _ = rref_rows(f, stacked)
-    return _span_canonical(f, n, [r[n:] for r in reduced if not any(r[:n])])
+    reduced, pivots = rref_rows(f, stacked)
+    cut = bisect_left(pivots, n)
+    return Subspace(f, n, tuple(tuple(r[n:]) for r in reduced[cut:]),
+                    tuple(p - n for p in pivots[cut:]))
 
 
 def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:

@@ -56,9 +56,10 @@ cut.
 One table, res[l][t] = the residual of e_t ^ x_l mod J for each basis
 index t and generator x_l, as sparse rows over the pair columns that are
 not J pivots (so its width is dim L ^ L), serves both of the answers
-below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l.  When
-graded, J and the x_l are homogeneous, so the kernel is taken separately
-for the z of each degree.
+below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l, taken in
+one sparse reduction with a row per (l, column of L ^ L).  When graded,
+J and the x_l are homogeneous, so the rows of z of different degrees
+share no column and the echelon's column index keeps them apart.
 
 Central-ideal bound without a quotient.  For an ideal I, Lambda^2 (L/I)
 is Lambda^2 L modulo L ^ I = span{x ^ v : v in I}, and J(L/I) is the
@@ -121,14 +122,13 @@ class DDResult(NamedTuple):
 # ======================================================================
 
 class _Wedge(NamedTuple):
-    """What the wedge route keeps of J: `deg` the degrees (all 0 when
-    ungraded), `ncols` the pairs of degree <= c+1, which are the columns
-    reduced, `dim` = dim L ^ L, and `residuals`, whose entry l maps each
-    basis index t to the residual of e_t ^ x_l mod J, x_l the l-th minimal
-    generator, as (column, value) pairs over the dim L ^ L pair columns
-    that are not J pivots.  Only nonzero residuals are kept."""
+    """What the wedge route keeps of J: `ncols` the pairs of degree <= c+1,
+    which are the columns reduced, `dim` = dim L ^ L, and `residuals`,
+    whose entry l maps each basis index t to the residual of e_t ^ x_l mod
+    J, x_l the l-th minimal generator, as (column, value) pairs over the
+    dim L ^ L pair columns that are not J pivots.  Only nonzero residuals
+    are kept."""
 
-    deg: tuple
     ncols: int
     dim: int
     residuals: list
@@ -210,7 +210,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
                 if res:
                     per_l[t] = res
         residuals.append(per_l)
-    cached = _Wedge(deg, len(col), len(free), residuals)
+    cached = _Wedge(len(col), len(free), residuals)
     L._cache["wedge"] = cached
     return cached
 
@@ -248,35 +248,17 @@ def exterior_square_dim(L: LieAlgebra) -> int:
 
 def exterior_center(L: LieAlgebra) -> Subspace:
     """{z in L : z wedge x = 0 for every x}, as a subspace of L, cached on
-    L: the kernel of z -> (sum_t z_t residuals[l][t])_l, taken for the z
-    of each degree."""
+    L: the kernel of z -> (sum_t z_t residuals[l][t])_l, one sparse row
+    per (l, column of L ^ L)."""
     cached = L._cache.get("exterior_center")
     if cached is not None:
         return cached
-    f, n = L.field, L.dim
-    w = _wedge(L)
-    deg, residuals = w.deg, w.residuals
-    by_degree: dict = {}
-    for t in range(n):
-        by_degree.setdefault(deg[t], []).append(t)
-    found = []  # (pivot, vector) of every Z^ basis vector, all degrees
-    for ts in by_degree.values():
-        rows: dict = {}  # one constraint row per (l, column of L ^ L)
-        for a, t in enumerate(ts):
-            for l, per_l in enumerate(residuals):
-                for i, x in per_l.get(t, ()):
-                    if (l, i) not in rows:
-                        rows[(l, i)] = [f.zero] * len(ts)
-                    rows[(l, i)][a] = x
-        Z = _kernel_canonical(f, len(ts), rows.values())
-        for p, v in zip(Z.pivots, Z.basis):
-            z = [f.zero] * n
-            for t, x in zip(ts, v):
-                z[t] = x
-            found.append((ts[p], tuple(z)))
-    found.sort()
-    cached = Subspace(f, n, tuple(z for _, z in found),
-                      tuple(p for p, _ in found))
+    rows: dict = {}
+    for l, per_l in enumerate(_wedge(L).residuals):
+        for t, res in per_l.items():
+            for i, x in res:
+                rows.setdefault((l, i), {})[t] = x
+    cached = _kernel_canonical(L.field, L.dim, rows.values())
     L._cache["exterior_center"] = cached
     return cached
 

@@ -25,10 +25,11 @@ still read: `Hom`, a linear map held as its rows, with its image, kernel
 and bracket check;
 the stem decomposition L = T (+) A (`stem_decompose`, built with
 `extend_to_complement` and `subalgebra_on`), which checks the class-2
-rule's stem dimension; `subspace_sum` and `coordinates`.
+rule's stem dimension; `subspace_sum`, `span_rows` and `coordinates`.
 
 `gauss_jordan` is textbook dense elimination with FieldSpec arithmetic,
-the reference that the package's row reduction is compared with.
+the reference that the package's row reduction is compared with, and
+`null_space_gauss_jordan` the kernel read off it.
 """
 
 import itertools
@@ -42,7 +43,6 @@ from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Subspace,
-    _span_canonical,
     complement_in,
     coordinate_subspace,
     kernel,
@@ -76,6 +76,22 @@ def gauss_jordan(f, rows) -> tuple:
                            for y, z in zip(row, work[r])]
         pivots.append(c)
     return work[:len(pivots)], pivots
+
+
+def null_space_gauss_jordan(f, n: int, rows) -> tuple:
+    """(the RREF basis rows, their pivots) of {v : row . v = 0 for every
+    row} in f^n: for each free column c of the Gauss-Jordan form of the
+    rows, the vector 1 at c and minus the reduced entries of column c at
+    the pivots, those vectors put in RREF by Gauss-Jordan again."""
+    reduced, pivots = gauss_jordan(f, rows)
+    null = []
+    for c in sorted(set(range(n)) - set(pivots)):
+        v = [f.zero] * n
+        v[c] = f.one
+        for row, p in zip(reduced, pivots):
+            v[p] = f.neg(row[c])
+        null.append(v)
+    return gauss_jordan(f, null)
 
 
 def lyndon_count(d: int, k: int) -> int:
@@ -226,9 +242,16 @@ def coordinates(sub: Subspace, v: Sequence) -> tuple:
     return tuple(v[p] for p in sub.pivots)
 
 
+def span_rows(f, n: int, rows) -> Subspace:
+    """span() of dense rows of length n whose entries are already
+    canonical in f, through rref_rows, with nothing coerced again."""
+    reduced, pivots = rref_rows(f, rows)
+    return Subspace(f, n, tuple(map(tuple, reduced)), tuple(pivots))
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_mate(b)
-    return _span_canonical(a.field, a.ambient_dim, list(a.basis) + list(b.basis))
+    return span_rows(a.field, a.ambient_dim, a.basis + b.basis)
 
 
 def apply_rows(field, rows, v: Sequence) -> tuple:
@@ -306,7 +329,7 @@ def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
         raise ShapeError("extend_to_complement: seed meets avoid")
     last = {n - 1 - p for p in pivots}
     picked = coordinate_subspace(f, n, set(range(n)) - last).basis
-    result = _span_canonical(f, n, seed.basis + picked)
+    result = span_rows(f, n, seed.basis + picked)
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result
@@ -324,15 +347,15 @@ def extend_to_complement_greedy(seed: Subspace, avoid: Subspace) -> Subspace:
     if subspace_sum(seed, avoid).dim != seed.dim + avoid.dim:
         raise ShapeError("extend_to_complement: seed meets avoid")
     picked = []
-    current = _span_canonical(f, n, list(seed.basis) + list(avoid.basis))
+    current = span_rows(f, n, seed.basis + avoid.basis)
     for k in range(n):
         if current.dim == n:
             break
         e = tuple(f.one if j == k else f.zero for j in range(n))
         if not current.contains(e):
             picked.append(e)
-            current = _span_canonical(f, n, list(current.basis) + [e])
-    result = _span_canonical(f, n, list(seed.basis) + picked)
+            current = span_rows(f, n, current.basis + (e,))
+    result = span_rows(f, n, seed.basis + tuple(picked))
     if result.dim != n - avoid.dim:
         raise ShapeError("extend_to_complement: complement has wrong dimension")
     return result
@@ -519,7 +542,7 @@ def commutator_with_free(F: FreeNilpotent, R: Subspace) -> Subspace:
     """[R, F] inside the truncated cover, spanned over generators only."""
     rows = [F.algebra._densify(w)
             for w in bracket_with_generators(F, R.basis) if w]
-    return _span_canonical(F.field, F.dim, rows)
+    return span_rows(F.field, F.dim, rows)
 
 
 def exterior_center_from(pres: Presentation) -> Subspace:

@@ -31,6 +31,7 @@ from oracles import (
     extend_to_complement,
     extend_to_complement_greedy,
     gauss_jordan,
+    null_space_gauss_jordan,
     reduce_rows,
     solve_right_inverse,
     subspace_sum,
@@ -135,6 +136,29 @@ def test_echelon_sparse_and_rref_rows_match_gauss_jordan(case):
         stored = echelon[p]
         assert all(x != 0 and type(x) is type(f.one) for x in stored.values())
         assert [stored.get(c, f.zero) for c in range(n)] == list(row)
+    assert sparse == before
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_cases())
+@example((QQ, 0, [[], []]))
+@example((GF5, 0, []))
+@example((GF3, 4, []))
+def test_canonical_span_and_kernel_match_gauss_jordan(case):
+    # the library's own sparse rows against the dense oracle and against
+    # the public span/kernel of the same rows written dense
+    f, n, rows = case
+    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
+    before = [dict(row) for row in sparse]
+    for got, dense, want in (
+            (linalg._span_canonical(f, n, sparse), span(f, n, rows),
+             gauss_jordan(f, rows)),
+            (linalg._kernel_canonical(f, n, sparse), kernel(f, n, rows),
+             null_space_gauss_jordan(f, n, rows))):
+        basis, pivots = want
+        assert (got.ambient_dim, got.pivots) == (n, tuple(pivots))
+        assert repr(got.basis) == repr(tuple(map(tuple, basis)))
+        assert got == dense and repr(got.basis) == repr(dense.basis)
     assert sparse == before
 
 
@@ -434,18 +458,29 @@ def test_extend_to_complement_reduces_at_most_twice(monkeypatch):
         avoid = span(f, 20, [[f.random_scalar(rng) if j % 3 == 0 else 0
                               for j in range(20)] for _ in range(3)])
         cases.append((seed, avoid, extend_to_complement_greedy(seed, avoid)))
-    calls = []
+    # every reduction counts once, whichever routine it enters first:
+    # rref_rows calls _echelon_sparse (over Q) or _rref_gf (over GF(p))
+    # inside itself, and those inner calls are not counted again
+    calls, depth = [], [0]
 
-    def counting(field, rows):
-        calls.append(field)
-        return rref_rows(field, rows)
+    def counting(reduce):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append(reduce.__name__)
+            depth[0] += 1
+            try:
+                return reduce(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
-    monkeypatch.setattr(linalg, "rref_rows", counting)
-    monkeypatch.setattr(oracles, "rref_rows", counting)
+    for name in ("rref_rows", "_echelon_sparse", "_rref_gf"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
+    monkeypatch.setattr(oracles, "rref_rows", linalg.rref_rows)
     for seed, avoid, want in cases:
         calls.clear()
         assert extend_to_complement(seed, avoid) == want
-        assert len(calls) <= 2
+        assert 0 < len(calls) <= 2, calls
 
 
 # ----------------------------------------------------------------------

@@ -343,32 +343,54 @@ def test_exterior_invariants_on_generated_algebras(L):
 # rows the library builds without coercing their entries again
 # ----------------------------------------------------------------------
 
+def assert_canonical_scalar(f, x):
+    """x is of the canonical type: Fraction over Q, int in [0, p) over
+    GF(p), so coercing it changes nothing."""
+    if f.is_rationals:
+        assert type(x) is Fraction, (f, x)
+    else:
+        assert type(x) is int and 0 <= x < f.p, (f, x)
+
+
 def assert_canonical(f, ncols, rows):
-    """Every row has ncols entries, each of the canonical type: Fraction
-    over Q, int in [0, p) over GF(p), so coercing it changes nothing."""
+    """Every row has ncols entries, each canonical."""
     for row in rows:
         assert len(row) == ncols, (f, ncols, row)
         for x in row:
-            if f.is_rationals:
-                assert type(x) is Fraction, (f, x)
-            else:
-                assert type(x) is int and 0 <= x < f.p, (f, x)
+            assert_canonical_scalar(f, x)
+
+
+def assert_canonical_sparse(f, ncols, rows):
+    """Every row is a {column: scalar} dict with int columns in
+    range(ncols) and nonzero canonical scalars."""
+    for row in rows:
+        assert type(row) is dict, (f, row)
+        for c, x in row.items():
+            assert type(c) is int and 0 <= c < ncols, (f, ncols, row)
+            assert x != 0, (f, row)
+            assert_canonical_scalar(f, x)
 
 
 def test_library_built_rows_are_canonical(monkeypatch):
-    # every row handed to _kernel_canonical(): the exterior-center
-    # constraints, the centers and the upper central series; the glue ideal
-    # `central_product` returns; and the presentation oracle's projection
-    # and section
+    # every row handed to _span_canonical() and _kernel_canonical(): the
+    # derived subalgebras and bracket subspaces, the exterior-center
+    # constraints, the centers and the upper central series; and, dense,
+    # the glue ideal `central_product` returns and the presentation
+    # oracle's projection and section
     handed = []
 
-    def recording(f, ncols, rows):
-        rows = list(rows)
-        handed.append((f, ncols, rows))
-        return _kernel_canonical(f, ncols, rows)
+    def recording(reduce):
+        def wrapper(f, ncols, rows):
+            rows = list(rows)
+            handed.append((reduce.__name__, f, ncols, rows))
+            return reduce(f, ncols, rows)
+        return wrapper
 
-    monkeypatch.setattr(schur, "_kernel_canonical", recording)
-    monkeypatch.setattr(linalg, "_kernel_canonical", recording)
+    span_c = recording(linalg._span_canonical)
+    kernel_c = recording(_kernel_canonical)
+    monkeypatch.setattr(linalg, "_span_canonical", span_c)
+    monkeypatch.setattr(linalg, "_kernel_canonical", kernel_c)
+    monkeypatch.setattr(schur, "_kernel_canonical", kernel_c)
     for f in (QQ, GF2, GF3):
         cases = [free_nilpotent(d, c, f).algebra
                  for d in (2, 3) for c in (2, 3)]
@@ -380,15 +402,45 @@ def test_library_built_rows_are_canonical(monkeypatch):
             copy = LieAlgebra(f, L.dim, L.table, name=L.name)
             handed.clear()
             exterior_center(copy)
-            assert handed, (f, L.name)
             copy.upper_central_series()
+            copy.bracket_subspaces(copy.full_space(), copy.full_space())
+            assert {name for name, *_ in handed} == {
+                "_span_canonical", "_kernel_canonical"}, (f, L.name)
             z = copy.center().basis[0]
             d = direct_sum(copy, copy)
             _, glue = central_product(copy, copy, [(z, z)])
-            built = [(f, pres.dim_F, pres.pi.rows), (f, L.dim, pres.section),
-                     (f, d.dim, glue.basis)]
-            for args in built + handed:
+            for args in [(f, pres.dim_F, pres.pi.rows),
+                         (f, L.dim, pres.section), (f, d.dim, glue.basis)]:
                 assert_canonical(*args)
+            for _, *args in handed:
+                assert_canonical_sparse(*args)
+
+
+def test_subspaces_of_l_need_no_dense_gf_reduction(monkeypatch):
+    # numpy's _rref_gf is left only behind rref_rows, for dense rows from
+    # span() and subspace_intersect.  The invariants below build their
+    # rows sparse, so they must answer with it gone; the algebras and the
+    # ideal are built first, since span still reaches it
+    cases = []
+    for f in (GF2, GF3):
+        for L in (build("L5_5", f), free_nilpotent(2, 3, f).algebra):
+            I = span(f, L.dim, [L.center().basis[0]])
+            cases.append((LieAlgebra(f, L.dim, L.table, name=L.name), I,
+                          invariants(L, I)))
+    assert cases[0][0].degrees() is None  # L5_5 is ungraded
+
+    def forbidden(*args):
+        pytest.fail("_rref_gf reduced a subspace built sparse")
+
+    monkeypatch.setattr(linalg, "_rref_gf", forbidden)
+    for copy, I, want in cases:
+        assert invariants(copy, I) == want, copy.name
+
+
+def invariants(L, I):
+    return (homology(L), L.center(), L.upper_central_series(),
+            L.derived_subalgebra(), L.lower_central_series(),
+            epicenter_test_dd(L, I))
 
 
 # ----------------------------------------------------------------------

@@ -279,15 +279,20 @@ def _span_canonical(field: FieldSpec, ambient_dim: int,
     dicts with nonzero scalars canonical in `field` and columns in
     range(ambient_dim), so nothing is coerced or checked again.  They are
     reduced sparse, and written dense only for the returned Subspace."""
-    echelon = _echelon_sparse(field, rows)
+    return _subspace(field, ambient_dim, _echelon_sparse(field, rows))
+
+
+def _subspace(field: FieldSpec, n: int, echelon: dict) -> Subspace:
+    """The Subspace of field^n whose canonical rows are the sparse rows
+    of `echelon`, {pivot: row}, written dense."""
     pivots = sorted(echelon)
     basis = []
     for p in pivots:
-        v = [field.zero] * ambient_dim
+        v = [field.zero] * n
         for c, x in echelon[p].items():
             v[c] = x
         basis.append(tuple(v))
-    return Subspace(field, ambient_dim, tuple(basis), tuple(pivots))
+    return Subspace(field, n, tuple(basis), tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, n: int) -> Subspace:
@@ -303,12 +308,7 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
     idx = sorted(set(indices))
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise ShapeError(f"coordinate index out of range for ambient {n}")
-    basis = []
-    for i in idx:
-        row = [field.zero] * n
-        row[i] = field.one
-        basis.append(tuple(row))
-    return Subspace(field, n, tuple(basis), tuple(idx))
+    return _subspace(field, n, {i: {i: field.one} for i in idx})
 
 
 def kernel(field: FieldSpec, ncols: int, rows: Iterable[Sequence]) -> Subspace:
@@ -332,15 +332,12 @@ def _kernel_canonical(field: FieldSpec, ncols: int,
     f, n = field, ncols
     echelon = _echelon_sparse(
         f, ({n - 1 - c: x for c, x in row.items()} for row in rows))
-    free = sorted(set(range(n)).difference(n - 1 - q for q in echelon))
-    null = {c: [f.zero] * n for c in free}
-    for c, v in null.items():
-        v[c] = f.one
+    null = {c: {c: f.one} for c in range(n) if n - 1 - c not in echelon}
     for q, row in echelon.items():
         for k, x in row.items():
             if k != q:
                 null[n - 1 - k][n - 1 - q] = f.neg(x)
-    return Subspace(f, n, tuple(tuple(null[c]) for c in free), tuple(free))
+    return _subspace(f, n, null)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

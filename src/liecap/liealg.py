@@ -39,8 +39,9 @@ class LieAlgebra:
 
     `_cache` keeps data derived from the table for the algebra's lifetime.
     Cache keys: `derived`, `center`, `degrees` and `lcs` (here); `wedge`
-    (the degrees, dim L ^ L and the generator residuals mod J, not J's
-    rows), `exterior_center` and (`bound`, I) per central ideal I (schur).
+    (the number of pair columns reduced, dim L ^ L and the generator
+    residuals mod J, not J's rows), `exterior_center` and (`bound`, I) per
+    central ideal I (schur).
     """
 
     __slots__ = ("field", "dim", "table", "name", "_cache")

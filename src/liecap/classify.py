@@ -683,6 +683,9 @@ def _check_homology_identities(report: VerificationReport,
         checked += 1
         ok = rep.dim_exterior_square == rep.dim_M + L.derived_subalgebra().dim
         zc = rep.exterior_center
+        # exterior_center solves over the support of L^2, so on this pool,
+        # whose L^2 are coordinate spans, Z^ <= L^2 holds by construction
+        # and Z^ <= Z(L) is the independent check
         if L.derived_subalgebra().dim > 0:
             ok = ok and L.center().contains_subspace(zc) \
                 and L.derived_subalgebra().contains_subspace(zc)

@@ -12,6 +12,7 @@ derived data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -131,32 +132,43 @@ class LieAlgebra:
     def validate(self) -> "JacobiReport":
         """Check Jacobi on the basis triples i < j < k.  A triple none of
         whose pairs is in the table satisfies it trivially, so only the
-        triples that meet a table entry are visited."""
-        violations = []
-        f = self.field
+        triples that meet a table entry are visited.
+
+        The sums run on Python ints.  Over Q the table is first scaled by
+        the lcm D of its denominators; each Jacobi sum is quadratic in the
+        structure constants, so it scales by D^2 and zero stays zero.  Over
+        GF(p) the residues are summed as they are, and a sum is reduced mod
+        p only when it is tested."""
+        p = self.field.p  # 0 over Q
         n = self.dim
-        get = self.table.get
+        if p:
+            table = self.table
+        else:
+            den = math.lcm(*[c.denominator for entry in self.table.values()
+                             for c in entry.values()])
+            table = {pair: {k: c.numerator * (den // c.denominator)
+                            for k, c in entry.items()}
+                     for pair, entry in self.table.items()}
+        get = table.get
         triples = {tuple(sorted((a, b, m)))
-                   for a, b in self.table for m in range(n) if m not in (a, b)}
+                   for a, b in table for m in range(n) if m not in (a, b)}
+        violations = []
         for i, j, k in sorted(triples):
-            bij, bjk, bik = get((i, j)), get((j, k)), get((i, k))
-            acc: SparseVec = {}
+            acc: dict = {}
             for inner, outer, sign in (
-                (bjk, i, 1),    # [e_i, [e_j, e_k]]
-                (bik, j, -1),   # [e_j, [e_k, e_i]] = -[e_j, [e_i, e_k]]
-                (bij, k, 1),    # [e_k, [e_i, e_j]]
+                (get((j, k)), i, 1),    # [e_i, [e_j, e_k]]
+                (get((i, k)), j, -1),   # [e_j, [e_k, e_i]] = -[e_j, [e_i, e_k]]
+                (get((i, j)), k, 1),    # [e_k, [e_i, e_j]]
             ):
-                if not inner:
-                    continue
-                for t, c in inner.items():
-                    for u, d in self.bracket_basis(outer, t).items():
-                        cd = f.mul(c, d) if sign > 0 else f.neg(f.mul(c, d))
-                        v = f.add(acc.get(u, f.zero), cd)
-                        if v == 0:
-                            acc.pop(u, None)
-                        else:
-                            acc[u] = v
-            if acc:
+                for t, c in (inner or {}).items():
+                    # [e_outer, e_t], with [e_t, e_outer] = -[e_outer, e_t]
+                    if outer < t:
+                        outer_t, s = get((outer, t)), sign
+                    else:
+                        outer_t, s = get((t, outer)), -sign
+                    for u, d in (outer_t or {}).items():
+                        acc[u] = acc.get(u, 0) + s * c * d
+            if any(v % p if p else v for v in acc.values()):
                 violations.append((i, j, k))
         return JacobiReport(ok=not violations, violations=tuple(violations))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -203,6 +203,16 @@ class Subspace:
     ambient_dim: int
     basis: tuple  # tuple[Vector, ...]
     pivots: tuple  # tuple[int, ...]
+    # the hash, taken on first use: outside equality and repr
+    _hash: int = dc_field(default=None, init=False, compare=False,
+                          repr=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.field, self.ambient_dim, self.basis, self.pivots))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:

@@ -53,13 +53,31 @@ reduce, not n^2.  A generator of a graded basis has degree 1, so every
 pair e_t ^ x_l has degree <= c+1 and is a column; none lies past the
 cut.
 
+Z^(L) lies in L^2 when d >= 2.  The map Lambda^2 L -> Lambda^2 (L/L^2)
+sends each d3 term [x,y] ^ z to 0, since [x,y] is in L^2, so it kills J
+(Ellis, J. Pure Appl. Algebra 46, 1987).  So z ^ x_l in J gives
+zbar ^ xbar_l = 0 in Lambda^2 (L/L^2) for every l.  The xbar_l are a
+basis of L/L^2, and a nonzero zbar has nonzero wedge with one of any two
+of them, so zbar = 0.  When d <= 1 the nilpotent L is 0 or a line, and
+Z^(L) = L.
+
 One table, res[l][t] = the residual of e_t ^ x_l mod J for each basis
 index t and generator x_l, as sparse rows over the pair columns that are
 not J pivots (so its width is dim L ^ L), serves both of the answers
-below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l, taken in
-one sparse reduction with a row per (l, column of L ^ L).  When graded,
-J and the x_l are homogeneous, so the rows of z of different degrees
-share no column and the echelon's column index keeps them apart.
+below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l, solved for
+z supported on S, the coordinates where some canonical row of L^2 is
+nonzero: its pivots, and each non-pivot (generator) column where a row
+is nonzero, since a row is 0 at every other pivot.  For d >= 2, Z^(L)
+lies in L^2, so on S; for d <= 1, S is all of L.  The kernel is taken in
+one sparse reduction over the |S| unknowns, with a row per (l, column of
+L ^ L), and res[l][t] is read only for t in S.  The map from positions
+in S to the coordinates of L is increasing, so it keeps a canonical basis
+canonical, and the null vectors are written back at S's indices as they
+are.  On a basis where L^2 is a coordinate span, as on a graded one, S
+is the dim L^2 pivots, so Z^(L) <= L^2 holds by construction there.
+When graded, J and the x_l are homogeneous, so the rows of z of
+different degrees share no column and the echelon's column index keeps
+them apart.
 
 Central-ideal bound without a quotient.  For an ideal I, Lambda^2 (L/I)
 is Lambda^2 L modulo L ^ I = span{x ^ v : v in I}, and J(L/I) is the
@@ -249,16 +267,41 @@ def exterior_square_dim(L: LieAlgebra) -> int:
 def exterior_center(L: LieAlgebra) -> Subspace:
     """{z in L : z wedge x = 0 for every x}, as a subspace of L, cached on
     L: the kernel of z -> (sum_t z_t residuals[l][t])_l, one sparse row
-    per (l, column of L ^ L)."""
+    per (l, column of L ^ L), over the z supported on S, the coordinates
+    where some canonical row of L^2 is nonzero (all of L when L has at
+    most one generator).  Z^(L) lies in L^2 (module docstring), so on S;
+    only the residuals of t in S are read, and the null vectors over S
+    are written back at S's indices.  _wedge comes first, so a
+    non-nilpotent L raises NotNilpotentError."""
     cached = L._cache.get("exterior_center")
     if cached is not None:
         return cached
+    f, n = L.field, L.dim
+    residuals = _wedge(L).residuals
+    if len(residuals) < 2:
+        support = range(n)
+    else:
+        # an L^2 row is 0 at every other pivot, so off its own pivot it can
+        # be nonzero only at the generators' columns
+        derived = L.derived_subalgebra()
+        taken = set(derived.pivots)
+        support = sorted(taken.union(
+            g for g in range(n)
+            if g not in taken and any(row[g] for row in derived.basis)))
     rows: dict = {}
-    for l, per_l in enumerate(_wedge(L).residuals):
-        for t, res in per_l.items():
-            for i, x in res:
-                rows.setdefault((l, i), {})[t] = x
-    cached = _kernel_canonical(L.field, L.dim, rows.values())
+    for l, per_l in enumerate(residuals):
+        for a, t in enumerate(support):
+            for i, x in per_l.get(t, ()):
+                rows.setdefault((l, i), {})[a] = x
+    inside = _kernel_canonical(f, len(support), rows.values())
+    basis = []
+    for row in inside.basis:
+        v = [f.zero] * n
+        for t, x in zip(support, row):
+            v[t] = x
+        basis.append(tuple(v))
+    cached = Subspace(f, n, tuple(basis),
+                      tuple(support[a] for a in inside.pivots))
     L._cache["exterior_center"] = cached
     return cached
 

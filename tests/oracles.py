@@ -25,7 +25,10 @@ still read: `Hom`, a linear map held as its rows, with its image, kernel
 and bracket check;
 the stem decomposition L = T (+) A (`stem_decompose`, built with
 `extend_to_complement` and `subalgebra_on`), which checks the class-2
-rule's stem dimension; `subspace_sum`, `span_rows` and `coordinates`.
+rule's stem dimension; `subspace_sum`, `span_rows` and `coordinates`;
+and `exterior_center_whole_kernel`, the exterior center solved over all
+n coordinates of L, where the package solves only over the support of
+L^2.
 
 `gauss_jordan` is textbook dense elimination with FieldSpec arithmetic,
 the reference that the package's row reduction is compared with, and
@@ -51,7 +54,12 @@ from liecap.linalg import (
     subspace_intersect,
     zero_subspace,
 )
-from liecap.schur import DDResult, exterior_center, schur_multiplier_dim
+from liecap.schur import (
+    DDResult,
+    _wedge,
+    exterior_center,
+    schur_multiplier_dim,
+)
 
 
 def gauss_jordan(f, rows) -> tuple:
@@ -231,6 +239,19 @@ def epicenter_test_dd_by_intersection(L, I) -> DDResult:
     rhs = schur_multiplier_dim(quotient_alg) - overlap
     contained = exterior_center(L).contains_subspace(I)
     return DDResult(lhs=lhs, rhs=rhs, contained=contained)
+
+
+def exterior_center_whole_kernel(L: LieAlgebra) -> Subspace:
+    """Z^(L) as the kernel of z -> (sum_t z_t res[l][t])_l over all n
+    coordinates of L, res the generator residuals of schur._wedge: one
+    dense row per (l, column of L ^ L), with no use of Z^(L) <= L^2."""
+    f, n = L.field, L.dim
+    rows: dict = {}
+    for l, per_l in enumerate(_wedge(L).residuals):
+        for t, res in per_l.items():
+            for i, x in res:
+                rows.setdefault((l, i), [f.zero] * n)[t] = x
+    return kernel(f, n, rows.values())
 
 
 def coordinates(sub: Subspace, v: Sequence) -> tuple:

@@ -93,6 +93,40 @@ def test_validate_matches_all_triples(L):
     assert L.validate().violations == jacobi_violations_all_triples(L)
 
 
+@st.composite
+def _tampered_tables(draw):
+    """A catalog algebra on the basis f_a = x_a e_a, so that over Q its
+    structure constants x_a x_b c / x_k are fractions, with up to three
+    entries of its table then overwritten by random scalars."""
+    f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
+    L = draw(st.sampled_from(standard_instances(f)))
+    n = L.dim
+    if f.is_rationals:
+        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
+    else:
+        scalar = st.integers(0, f.p - 1)
+    nonzero = scalar.filter(lambda x: x != 0)
+    x = [f.coerce(draw(nonzero)) for _ in range(n)]
+    inv = [f.scalar(1) / y if f.is_rationals else pow(y, -1, f.p) for y in x]
+    table = {(a, b): {k: f.mul(f.mul(x[a], x[b]), f.mul(inv[k], c))
+                      for k, c in entry.items()}
+             for (a, b), entry in L.table.items()}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for pair, k, c in draw(st.lists(st.tuples(
+            st.sampled_from(pairs), st.integers(0, n - 1), scalar),
+            max_size=3)):
+        table.setdefault(pair, {})[k] = f.coerce(c)
+    return LieAlgebra(f, n, table, name=L.name)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tampered_tables())
+def test_validate_matches_all_triples_on_tampered_tables(L):
+    # validate sums Jacobi on ints: the Q table scaled by the lcm of its
+    # denominators, the GF(p) residues reduced only when a sum is tested
+    assert L.validate().violations == jacobi_violations_all_triples(L)
+
+
 def test_table_entries_out_of_range_rejected():
     with pytest.raises(ShapeError):
         LieAlgebra(QQ, 2, {(0, 5): {1: Fraction(1)}})

@@ -516,6 +516,24 @@ def test_span_is_equal_ignores_presentation():
     assert a != span(QQ, 3, [[1, 0, 0]])
 
 
+@pytest.mark.parametrize("f", [QQ, GF3], ids=str)
+def test_hash_is_cached_outside_equality_and_repr(f):
+    # a subspace spanned two ways is equal and hashes equal, whichever is
+    # hashed first; the hash is kept from the first call, and equality
+    # and repr do not see it
+    a = span(f, 3, [[1, 1, 0], [0, 0, 1]])
+    b = span(f, 3, [[2, 2, 2], [0, 0, -1]])
+    assert a._hash is None and b._hash is None
+    h = hash(a)
+    assert a._hash == h == hash((f, 3, a.basis, a.pivots))
+    assert a == b and b._hash is None
+    assert hash(b) == h and hash(a) == h
+    assert repr(a) == repr(b) == f"Subspace({f}, dim 2 of 3)"
+    assert {a: 1}[b] == 1
+    c = span(f, 3, [[1, 0, 0]])
+    assert a != c and hash(c) != h
+
+
 def test_contains_subspace():
     big = span(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     small = span(QQ, 3, [[1, 1, 0]])

@@ -34,7 +34,12 @@ mod the ideal, and dim M(L/I) - dim(L^2 cap I) from the quotient algebra
 and an intersection, on graded and rebased bases.  The bound's cache is checked
 the same way: an ideal given again by another spanning set matches the
 oracle on a fresh algebra, no quotient is built, the rank is taken once
-per canonical ideal, and every call still checks its input.
+per canonical ideal, and every call still checks its input.  The exterior
+center, solved only over the support of L^2, is compared byte for byte
+with `exterior_center_whole_kernel`, the same kernel over all of L, on
+bases where L^2's canonical rows are nonzero off their pivots and on the
+algebras with at most one generator or L^2 = 0; a residual table that
+records its reads shows that no residual outside the support is read.
 """
 
 import pytest
@@ -93,6 +98,7 @@ from oracles import (
     epicenter_test_dd_by_intersection,
     exterior_center_all_pairs,
     exterior_center_from,
+    exterior_center_whole_kernel,
     free_presentation,
     lower_central_series_loop,
     lyndon_count,
@@ -596,7 +602,12 @@ def _rebased(draw):
     f = draw(st.sampled_from([QQ, GF2, GF3]))
     L = draw(st.sampled_from(standard_instances(f) + [
         free_nilpotent(d, c, f).algebra for d, c in ((3, 3), (2, 4))]))
-    n = L.dim
+    return (L, *_rebase(draw, L))
+
+
+def _rebase(draw, L):
+    """(P^-1, L') for an invertible P drawn as in _rebased."""
+    f, n = L.field, L.dim
     if f.is_rationals:
         entry, nonzero = st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])
     else:
@@ -609,7 +620,14 @@ def _rebased(draw):
               for j in range(n)] for i in range(n)]
     lu = [[sum((f.mul(lower[i][t], upper[t][j]) for t in range(n)), f.zero)
            for j in range(n)] for i in range(n)]
-    P = [[f.coerce(x) for x in lu[perm[i]]] for i in range(n)]
+    return _on_basis(L, [[f.coerce(x) for x in lu[perm[i]]]
+                         for i in range(n)])
+
+
+def _on_basis(L, P):
+    """(P^-1, L') with L' the algebra L on the basis f_a = sum_i P[i][a]
+    e_i, P invertible."""
+    f, n = L.field, L.dim
     Pinv = solve_right_inverse(f, P, n)
     cols = list(zip(*P))
     brackets = {}
@@ -619,7 +637,7 @@ def _rebased(draw):
             entry_ab = {k: x for k, x in enumerate(coords) if x != 0}
             if entry_ab:
                 brackets[(a, b)] = entry_ab
-    return L, Pinv, LieAlgebra(f, n, brackets, name=f"{L.name}'")
+    return Pinv, LieAlgebra(f, n, brackets, name=f"{L.name}'")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -635,6 +653,108 @@ def test_invariants_survive_a_change_of_basis(case):
                  [apply_rows(L.field, Pinv, z)
                   for z in a.exterior_center.basis])
     assert moved == b.exterior_center
+
+
+# ----------------------------------------------------------------------
+# the exterior center, solved over the support of L^2
+# ----------------------------------------------------------------------
+
+def _derived_support(L):
+    """The coordinates at which some canonical row of L^2 is nonzero."""
+    return {t for row in L.derived_subalgebra().basis
+            for t, x in enumerate(row) if x != 0}
+
+
+def _l27b_sliding(f):
+    """L27B on the basis f_a = e_0 + ... + e_a.  Its L^2 = span(e_5, e_6)
+    has the canonical rows f_4 - f_6 and f_5 - f_6, nonzero at the
+    generator column 6, and Z^(L) = span(e_6) = span(f_5 - f_6) is too."""
+    n = 7
+    return _on_basis(build("L27B", f), [[f.coerce(int(i <= a))
+                                         for a in range(n)]
+                                        for i in range(n)])[1]
+
+
+@st.composite
+def _rebased_off_pivots(draw):
+    """A non-capable catalog algebra or an F(d,c)/W on a basis drawn as in
+    _rebased, so that the canonical rows of L^2 are nonzero off their
+    pivots."""
+    L = draw(st.one_of(
+        st.sampled_from([QQ, GF2, GF3]).flatmap(lambda f: st.sampled_from(
+            [A for A in standard_instances(f)
+             if A.name in ("H(2)", "H(3)", "L6_10", "L27B")])),
+        _top_degree_quotients()))
+    return _rebase(draw, L)[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(_l27b_sliding(QQ))
+@example(_l27b_sliding(GF3))
+@given(_rebased_off_pivots())
+def test_exterior_center_matches_the_whole_kernel(L):
+    # Z^(L) lies in L^2, so it is solved over the support of L^2 only; the
+    # oracle solves over all of L.  Byte-equal, scalar types included
+    want, zc = exterior_center_whole_kernel(L), exterior_center(L)
+    assert repr(zc.basis) == repr(want.basis)
+    assert zc.pivots == want.pivots
+
+
+@pytest.mark.parametrize("f", [QQ, GF2, GF3], ids=str)
+def test_exterior_center_with_at_most_one_generator_or_no_l2(f):
+    # d <= 1 (A(0), A(1)) solves over all of L, where Z^(L) = L; A(2) and
+    # A(1) + A(1) have d = 2 and L^2 = 0, so nothing is solved
+    for L, dim in ((abelian(f, 0), 0), (abelian(f, 1), 1),
+                   (abelian(f, 2), 0),
+                   (direct_sum(abelian(f, 1), abelian(f, 1)), 0)):
+        zc = exterior_center(L)
+        assert zc.dim == dim, L.name
+        assert repr(zc.basis) == repr(exterior_center_whole_kernel(L).basis)
+
+
+class _ReadRecorder(dict):
+    """A residual map that records every basis index it is asked for and
+    refuses to be walked whole."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+
+    def get(self, t, default=None):
+        self.seen.add(t)
+        return super().get(t, default)
+
+    def __getitem__(self, t):
+        self.seen.add(t)
+        return super().__getitem__(t)
+
+    def _walk(self, *args):
+        pytest.fail("the residuals of every basis index were walked")
+
+    __iter__ = items = keys = values = _walk
+
+
+@pytest.mark.parametrize("f", [QQ, GF2, GF3], ids=str)
+def test_exterior_center_reads_residuals_only_inside_the_support(f):
+    read = {}
+    for L in (_l27b_sliding(f), abelian(f, 3),
+              plus_abelian(build("H", f, m=2), 2)):
+        want = exterior_center_whole_kernel(
+            LieAlgebra(f, L.dim, L.table, name=L.name))
+        wedge, seen = _wedge(L), set()
+        L._cache["wedge"] = wedge._replace(residuals=[
+            _ReadRecorder(per_l, seen) for per_l in wedge.residuals])
+        zc = exterior_center(L)
+        assert repr(zc.basis) == repr(want.basis), L.name
+        assert seen <= _derived_support(L), L.name
+        read[L.name] = L, seen
+    # A(3) has L^2 = 0: nothing is read.  The sliding L27B reads at a
+    # generator column too, where Z^(L) is nonzero
+    assert not read["A(3)"][1]
+    L, seen = read["L27B'"]
+    gens = set(minimal_generators(L).pivots)
+    assert seen & gens
+    assert any(exterior_center(L).basis[0][t] for t in gens)
 
 
 def _permuted(L, perm):

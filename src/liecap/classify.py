@@ -1,25 +1,25 @@
 """Structural capability rules, isomorphism-invariant fingerprints, and
 the bundled verification suite.
 
-capability_structural decides capability from coarse invariants alone
-(derived dimension, class, center codimension, stem dimension) and never
-consults the homology machinery, with one deliberate exception: the
-class-2 stem of dimension 7, where the two candidate algebras share every
-coarse invariant and differ exactly by capability, is delegated to the
-exterior-center ground truth.
+capability_structural decides capability without the homology machinery:
+from coarse invariants (derived dimension, class, center codimension,
+stem dimension), and at class-2 stem dimension 7, where the two
+candidates share every coarse invariant, from one rank.
 
 The class-2 rule reads the stem dimension off the center.  Nilpotent L is
 T (+) A', T a stem (Z(T) inside T^2) and A' abelian inside Z(L).  In
 class 2, T^2 = L^2 lies in Z(T) too, so Z(L) = L^2 (+) A' and
-t = dim T = codim Z(L) + 2 when dim L^2 = 2.  At t = 7 the ground truth
-is asked of L/A, A = complement_in(L^2, Z(L)), which is 7-dimensional
-and isomorphic to T: the linear map that fixes T and sends each a' in A'
-to its A-component along L^2 moves every vector by an element of the
-central L^2, so it is an automorphism, and it maps A' onto A.  Unlike
-that of L, the exterior square of L/A does not grow with k = dim A.  T
-decides for L: for k >= 1, Z^(T (+) A(k)) = Z^(T) cap T^2 (z ^ a = 0 for
-a in A(k) puts the T-part of z in T^2; z ^ x = 0 for x in T kills its
-A-part, as T != T^2), and Z^(T) lies in Z(T) = T^2, so Z^(L) = Z^(T).
+t = dim T = codim Z(L) + 2 when dim L^2 = 2.  The entries w1, w2 of
+[x, y] at L^2's two pivots, its coordinates in L^2's canonical basis,
+are a pencil of alternating forms with common radical Z(L).  By the
+Kronecker classification of such pencils, valid over every field
+(Scharlau, Math. Z. 147, 1976), at t = 7 the pencil on L/Z(L) is one
+block of minimal index 2 (L27A, capable), or one of minimal index 1 and
+a regular 2-dim block (L27B).  The solutions (u, w) in L (+) L of
+w1(u, .) = 0, w1(w, .) + w2(u, .) = 0 and w2(w, .) = 0 are the kernel
+vectors u + s w of w1 + s w2 of degree <= 1: 2 dim Z(L) from the
+radical, one more from a block of minimal index 1, none from the rest.
+So L is capable exactly when that system has rank 2 codim Z(L).
 
 verify_paper cross-checks the structural rules against the ground truth
 on the whole catalog and on randomized samples, and returns a
@@ -38,7 +38,7 @@ from .errors import NotNilpotentError, ScopeError
 from .field import GF2, QQ, FieldSpec
 from .freelie import free_nilpotent, hall_basis, tree_degree, witt_dimension
 from .liealg import LieAlgebra, abelian, central_product, direct_sum
-from .linalg import (Subspace, complement_in, span, subspace_intersect,
+from .linalg import (Subspace, _echelon_sparse, span, subspace_intersect,
                      zero_subspace)
 
 # enumerated decision-rule tags for Verdict.rule
@@ -46,14 +46,14 @@ RULE_ABELIAN = "abelian-dimension"
 RULE_DERIVED_LINE = "derived-line-center-codim"
 RULE_CLASS3_CODIM = "class3-center-codim"
 RULE_CLASS2_STEM_DIM = "class2-stem-dimension"
-RULE_CLASS2_DIM7_GROUND_TRUTH = "class2-stem-dim7-ground-truth"
+RULE_CLASS2_DIM7_PENCIL = "class2-stem-dim7-pencil-index"
 
 ALL_RULES = (
     RULE_ABELIAN,
     RULE_DERIVED_LINE,
     RULE_CLASS3_CODIM,
     RULE_CLASS2_STEM_DIM,
-    RULE_CLASS2_DIM7_GROUND_TRUTH,
+    RULE_CLASS2_DIM7_PENCIL,
 )
 
 RANDOM_HEISENBERG_SAMPLES = 200  # dim-7 samples per field in verify_paper
@@ -185,14 +185,28 @@ def capability_structural(L: LieAlgebra) -> Verdict:
         return Verdict(True, RULE_CLASS2_STEM_DIM,
                        _with_tail(base, k), f"stem dimension {t}")
     if t == 7:
-        A = complement_in(L.derived_subalgebra(), L.center())
-        capable = schur.is_capable(L.quotient(A))
-        base = "L27A" if capable else "L27B"
-        return Verdict(capable, RULE_CLASS2_DIM7_GROUND_TRUTH,
-                       _with_tail(base, k),
-                       f"stem dimension 7, ground truth consulted")
+        rank = _pencil_rank(L)
+        capable = rank == 2 * codim
+        return Verdict(capable, RULE_CLASS2_DIM7_PENCIL,
+                       _with_tail("L27A" if capable else "L27B", k),
+                       f"stem dimension 7, pencil rank {rank} of {2 * codim}")
     return Verdict(False, RULE_CLASS2_STEM_DIM, None,
                    f"stem dimension {t} >= 8")
+
+
+def _pencil_rank(L: LieAlgebra) -> int:
+    """Rank of the module docstring's system in (u, w), its rows read off
+    the table as in LieAlgebra._center_mod, with nothing to sum."""
+    f, n = L.field, L.dim
+    p, q = L.derived_subalgebra().pivots
+    rows: dict = {}
+    for (i, j), entry in L.table.items():
+        w1, w2 = entry.get(p), entry.get(q)
+        for eq, c, off in ((0, w1, 0), (1, w1, n), (1, w2, 0), (2, w2, n)):
+            if c is not None:
+                rows.setdefault((eq, j), {})[off + i] = c
+                rows.setdefault((eq, i), {})[off + j] = f.neg(c)
+    return len(_echelon_sparse(f, rows.values()))
 
 
 # ======================================================================
@@ -676,21 +690,19 @@ def _check_homology_identities(report: VerificationReport,
     bad = []
     checked = 0
     pool = list(catalog.standard_instances(f))
-    pool.extend(L for L, _ in _class3_instances(f)
-                if L not in pool)
+    pool.extend(L for L, _ in _class3_instances(f) if L not in pool)
     for L in pool:
         rep = schur.homology(L)
         checked += 1
-        ok = rep.dim_exterior_square == rep.dim_M + L.derived_subalgebra().dim
-        zc = rep.exterior_center
-        # exterior_center solves over the support of L^2, so on this pool,
-        # whose L^2 are coordinate spans, Z^ <= L^2 holds by construction
-        # and Z^ <= Z(L) is the independent check
-        if L.derived_subalgebra().dim > 0:
-            ok = ok and L.center().contains_subspace(zc) \
-                and L.derived_subalgebra().contains_subspace(zc)
-        else:
-            ok = ok and L.center().contains_subspace(zc)
+        derived, zc = L.derived_subalgebra(), rep.exterior_center
+        ok = (rep.dim_exterior_square == rep.dim_M + derived.dim
+              and L.center().contains_subspace(zc)
+              and (derived.is_zero or derived.contains_subspace(zc)))
+        # Z^ <= L^2 holds by construction here, as every L^2 in the pool is
+        # a coordinate span; the quotient by Z^ is an independent route
+        if ok and not zc.is_zero:
+            ok = rep.dim_M == (schur.schur_multiplier_dim(L.quotient(zc))
+                               - subspace_intersect(derived, zc).dim)
         if not ok:
             bad.append(L.name)
     report.add(sec, f"{lab}/identities",

@@ -420,8 +420,10 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
     f = a.field
 
     def _vec(alg: LieAlgebra, v):
-        if isinstance(v, int):
-            return alg.basis_vector(v)
+        if isinstance(v, bool):
+            raise ShapeError(f"gluing element {v!r} is a bool, not an index")
+        if linalg._is_int(v):
+            return alg.basis_vector(int(v))
         return tuple(f.coerce(c) for c in v)
 
     za, zb = a.center(), b.center()

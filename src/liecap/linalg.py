@@ -365,17 +365,3 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(f, n, tuple(tuple(r[n:]) for r in reduced[cut:]),
                     tuple(p - n for p in pivots[cut:]))
 
-
-def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
-    """Deterministic complement of `sub` inside `ambient`: the ambient basis
-    rows whose pivots avoid sub's pivots.  Requires sub <= ambient."""
-    sub._check_mate(ambient)
-    if not ambient.contains_subspace(sub):
-        raise ShapeError("complement_in: first argument is not inside second")
-    taken = set(sub.pivots)
-    rows, pivots = [], []
-    for row, p in zip(ambient.basis, ambient.pivots):
-        if p not in taken:
-            rows.append(row)
-            pivots.append(p)
-    return Subspace(ambient.field, ambient.ambient_dim, tuple(rows), tuple(pivots))

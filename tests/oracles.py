@@ -46,7 +46,6 @@ from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Subspace,
-    complement_in,
     coordinate_subspace,
     kernel,
     rref_rows,
@@ -331,6 +330,22 @@ class Hom:
         return True
 
 
+def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
+    """Deterministic complement of `sub` inside `ambient`: the ambient basis
+    rows whose pivots avoid sub's pivots.  Requires sub <= ambient."""
+    sub._check_mate(ambient)
+    if not ambient.contains_subspace(sub):
+        raise ShapeError("complement_in: first argument is not inside second")
+    taken = set(sub.pivots)
+    rows, pivots = [], []
+    for row, p in zip(ambient.basis, ambient.pivots):
+        if p not in taken:
+            rows.append(row)
+            pivots.append(p)
+    return Subspace(ambient.field, ambient.ambient_dim, tuple(rows),
+                    tuple(pivots))
+
+
 def extend_to_complement(seed: Subspace, avoid: Subspace) -> Subspace:
     """Smallest-index-greedy complement of `avoid` containing `seed`: seed
     and the e_k that, tried in index order, enlarge span(seed + avoid + the
@@ -433,6 +448,69 @@ def stem_decompose(L: LieAlgebra) -> StemDecomposition:
 
 
 # ----------------------------------------------------------------------
+# pencils of alternating forms: the class-2 algebras with dim L^2 = 2
+# ----------------------------------------------------------------------
+
+def pencil_algebra(f, d: int, x: dict, y: dict, name: str = "") -> LieAlgebra:
+    """The algebra on K^d (+) K^2 with [e_a, e_b] = x(a, b) e_d +
+    y(a, b) e_(d+1) for a < b < d, x and y alternating forms given by
+    their values {(a, b): scalar} on those pairs (missing pairs are 0)."""
+    table = {}
+    for pair in itertools.combinations(range(d), 2):
+        entry = {k: c for k, c in ((d, x.get(pair, 0)),
+                                   (d + 1, y.get(pair, 0))) if c}
+        if entry:
+            table[pair] = entry
+    return LieAlgebra(f, d + 2, table, name=name)
+
+
+def pencils(f, d: int):
+    """One algebra per 2-dim space of alternating forms on K^d, K = GF(p),
+    L^2 on the last two coordinates: the canonical RREF pairs (x, y) of
+    K^C(d, 2), indexed by the pairs a < b < d in lexicographic order.  x is
+    1 at its pivot p1 and 0 at y's pivot p2 and before p1; y is 1 at p2 and
+    0 before.  There are [C(d, 2) choose 2]_p of them, a Gaussian binomial
+    coefficient."""
+    pairs = list(itertools.combinations(range(d), 2))
+    m, scalars = len(pairs), range(f.p)
+    for p1, p2 in itertools.combinations(range(m), 2):
+        free1 = [c for c in range(p1 + 1, m) if c != p2]
+        free2 = range(p2 + 1, m)
+        for v1 in itertools.product(scalars, repeat=len(free1)):
+            x = {pairs[c]: v for c, v in zip(free1, v1)}
+            x[pairs[p1]] = 1
+            for v2 in itertools.product(scalars, repeat=len(free2)):
+                y = {pairs[c]: v for c, v in zip(free2, v2)}
+                y[pairs[p2]] = 1
+                yield pencil_algebra(f, d, x, y)
+
+
+def random_pencil_stem(f, rng, decomposable: bool) -> LieAlgebra:
+    """A random class-2 stem of dimension 7 with dim L^2 = 2: a pencil
+    (x, y) on K^5 with no common radical, drawn until one is found.  With
+    `decomposable`, y = a ^ b for random a, b, so the pencil has a member
+    of rank 2 and the algebra is of L27B type; otherwise both forms are
+    random, and either type can come out."""
+    pairs = list(itertools.combinations(range(5), 2))
+
+    def scalar():
+        return rng.randint(-2, 2) if f.is_rationals else rng.randrange(f.p)
+
+    while True:
+        x = {pr: f.coerce(scalar()) for pr in pairs}
+        if decomposable:
+            a = [f.coerce(scalar()) for _ in range(5)]
+            b = [f.coerce(scalar()) for _ in range(5)]
+            y = {(i, j): f.sub(f.mul(a[i], b[j]), f.mul(a[j], b[i]))
+                 for i, j in pairs}
+        else:
+            y = {pr: f.coerce(scalar()) for pr in pairs}
+        L = pencil_algebra(f, 5, x, y, name="pencil(5)")
+        if L.derived_subalgebra().dim == 2 and L.center().dim == 2:
+            return L
+
+
+# ----------------------------------------------------------------------
 # the presentation route
 # ----------------------------------------------------------------------
 
@@ -472,6 +550,22 @@ def solve_right_inverse(f, rows, nc: int) -> tuple:
     for i, p in enumerate(pivots):
         section[p] = tuple(reduced[i][nc:])
     return tuple(section)
+
+
+def on_basis(L, P):
+    """(P^-1, L') with L' the algebra L on the basis f_a = sum_i P[i][a]
+    e_i, P invertible."""
+    f, n = L.field, L.dim
+    Pinv = solve_right_inverse(f, P, n)
+    cols = list(zip(*P))
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coords = apply_rows(f, Pinv, L.bracket(cols[a], cols[b]))
+            entry_ab = {k: x for k, x in enumerate(coords) if x != 0}
+            if entry_ab:
+                brackets[(a, b)] = entry_ab
+    return Pinv, LieAlgebra(f, n, brackets, name=f"{L.name}'")
 
 
 def extend_hom(F: FreeNilpotent, target: LieAlgebra,

@@ -1,17 +1,18 @@
 """Structural capability rules, fingerprints, and the verification suite."""
 
+import random
 import re
 
 import pytest
 from fractions import Fraction
 
 from liecap import GF2, GF3, GF5, QQ, catalog, schur
-from liecap.errors import NotNilpotentError, ScopeError
+from liecap.errors import NotNilpotentError, ScopeError, ShapeError
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
     ALL_RULES,
     RULE_ABELIAN,
-    RULE_CLASS2_DIM7_GROUND_TRUTH,
+    RULE_CLASS2_DIM7_PENCIL,
     RULE_CLASS2_STEM_DIM,
     RULE_CLASS3_CODIM,
     RULE_DERIVED_LINE,
@@ -19,6 +20,7 @@ from liecap.classify import (
     class3_stem_products,
     VerificationReport,
     _check_central_ideal_bound,
+    _check_homology_identities,
     fingerprint,
     plus_abelian,
     verify_paper,
@@ -31,7 +33,12 @@ from liecap.liealg import (
 )
 from liecap.schur import is_capable
 
-from oracles import stem_decompose
+from oracles import (
+    on_basis,
+    pencils,
+    random_pencil_stem,
+    stem_decompose,
+)
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +93,17 @@ def test_class2_stem_dimension_rule():
     assert v.capable and v.family_label == "L5_8 + A(2)"
 
 
-def test_dim7_stems_fall_back_to_ground_truth():
+def test_dim7_stems_by_pencil_rank():
+    # the pencil system in L (+) L has 14 unknowns and a kernel of
+    # 2 dim Z(L) = 4, plus one for L27B's block of minimal index 1
     va = capability_structural(build("L27A", QQ))
-    assert va.capable and va.rule == RULE_CLASS2_DIM7_GROUND_TRUTH
+    assert va.capable and va.rule == RULE_CLASS2_DIM7_PENCIL
     assert va.family_label == "L27A"
-    vb = capability_structural(build("L27B", QQ))
-    assert not vb.capable and vb.family_label == "L27B"
+    assert va.detail == "stem dimension 7, pencil rank 10 of 10"
+    vb = capability_structural(plus_abelian(build("L27B", QQ), 2))
+    assert not vb.capable and vb.rule == RULE_CLASS2_DIM7_PENCIL
+    assert vb.family_label == "L27B + A(2)"
+    assert vb.detail == "stem dimension 7, pencil rank 9 of 10"
 
 
 def test_dim8_rank2_stem_is_non_capable_both_routes():
@@ -146,6 +158,84 @@ def test_class2_stem_dimension_is_the_stem_decompositions():
     assert dims == {5, 6, 7}
 
 
+def test_structural_rules_call_nothing_in_schur(monkeypatch):
+    """With schur's wedge route, exterior center and capability made to
+    raise, every class-2 case above, L27A and L27B with A(60) among them,
+    and every catalog sum with A(k), k <= 3, still get their verdicts, and
+    those equal the ground truth: of the stem T for the class-2 cases,
+    since T (+) A(60) is past the wedge route's size guard."""
+    cases = list(_class2_rank2_cases())
+    sums = [plus_abelian(base, k) for f in (QQ, GF2, GF3, GF5)
+            for base in standard_instances(f)
+            if base.derived_subalgebra().dim <= 2 for k in range(4)]
+    want = ([is_capable(stem_decompose(L).T) for L in cases]
+            + [is_capable(L) for L in sums])
+
+    def refuse(*args):
+        raise AssertionError("the structural rules called schur")
+
+    for name in ("_wedge", "exterior_center", "is_capable"):
+        monkeypatch.setattr(schur, name, refuse)
+    assert [capability_structural(L).capable for L in cases + sums] == want
+
+
+# ----------------------------------------------------------------------
+# the pencil rule on pencils of alternating forms
+# ----------------------------------------------------------------------
+
+def test_every_pencil_on_at_most_four_generators_over_gf2_is_capable():
+    # stem dimension at most 6: the pencil rule is not reached, and every
+    # verdict is capable, as the paper says
+    for d, count in ((2, 0), (3, 7), (4, 651)):
+        algebras = list(pencils(GF2, d))
+        assert len(algebras) == count
+        for L in algebras:
+            assert capability_structural(L).capable and is_capable(L)
+
+
+def _rebased_off_pivots(L, rng):
+    """L on a random basis, redrawn until L^2's canonical rows are nonzero
+    off their pivots."""
+    f, n = L.field, L.dim
+    while True:
+        P = [[f.coerce(rng.randint(-2, 2)) for _ in range(n)]
+             for _ in range(n)]
+        try:
+            L2 = on_basis(L, P)[1]
+        except ShapeError:
+            continue  # P is singular
+        der = L2.derived_subalgebra()
+        if any(x for row in der.basis
+               for c, x in enumerate(row) if c not in der.pivots):
+            return L2
+
+
+def _dim7_stem_samples():
+    """Sampled dim-7 class-2 stems with dim L^2 = 2 over four fields, half
+    of them with a member of rank 2 (L27B type), each with A(s mod 3) on
+    alternating sides, and rebased over Q and GF(3)."""
+    rng = random.Random(2017)
+    for f in (QQ, GF2, GF3, GF5):
+        for s in range(24):
+            T = random_pencil_stem(f, rng, decomposable=s % 2 == 1)
+            A = abelian(f, s % 3)
+            L = direct_sum(T, A) if s % 4 < 2 else direct_sum(A, T)
+            if f in (QQ, GF3):
+                L = _rebased_off_pivots(L, rng)
+            yield f, L
+
+
+def test_pencil_rule_matches_ground_truth_on_sampled_dim7_stems():
+    seen = set()
+    for f, L in _dim7_stem_samples():
+        v = capability_structural(L)
+        assert v.rule == RULE_CLASS2_DIM7_PENCIL, (f, v)
+        assert v.capable == is_capable(L), (f, L.table)
+        seen.add((str(f), v.capable))
+    assert seen == {(str(f), c) for f in (QQ, GF2, GF3, GF5)
+                    for c in (True, False)}
+
+
 def test_scope_guard_for_larger_derived_subalgebra():
     with pytest.raises(ScopeError):
         capability_structural(build("L5_7", QQ))
@@ -185,7 +275,8 @@ def test_fingerprint_abelian_multiplier_formula():
 
 
 def test_fingerprints_separate_the_two_dim7_stems():
-    # every structural invariant agrees; only the homology side separates
+    # every coarse invariant agrees and only the homology side separates;
+    # capability_structural tells them apart by the rank of their pencil
     fa = fingerprint(build("L27A", GF2))
     fb = fingerprint(build("L27B", GF2))
     assert fa != fb
@@ -294,6 +385,21 @@ def test_central_ideal_bound_check_catches_a_wrong_rank(monkeypatch,
     assert catalog_check.check_id == "GF(2)/all-catalog"
     assert any(calls)
     assert not catalog_check.passed
+
+
+def test_homology_identities_check_catches_a_wrong_exterior_center(
+        monkeypatch, fresh_catalog):
+    """An exterior center read as Z(L) keeps both containments true on
+    H(1), where Z(L) = L^2; only the quotient route catches it:
+    dim M(L/Z) - dim(L^2 cap Z) = 1 - 1 = 0, not dim M(H(1)) = 2."""
+    h1 = build("H", GF2, m=1)
+    assert h1.derived_subalgebra() == h1.center()
+    monkeypatch.setattr(schur, "exterior_center", lambda L: L.center())
+    rep = VerificationReport(["GF(2)"], 0)
+    _check_homology_identities(rep, GF2)
+    check, = rep.sections["homology_identities"]
+    assert not check.passed
+    assert h1.name in check.values["failures"]
 
 
 def test_verification_report_serialization():

@@ -482,6 +482,17 @@ def test_central_product_chain_with_heisenberg():
     assert prod.same_table(build("L6_10", QQ))
 
 
+def test_central_product_reads_a_numpy_index_and_refuses_a_bool():
+    H1 = build("H", QQ, m=1)
+    want, _ = central_product(H1, H1, [(2, 2)])
+    for pair in ((np.int64(2), 2), (2, np.int64(2))):
+        prod, _ = central_product(H1, H1, [pair])
+        assert prod.same_table(want)
+    for pair in ((True, 2), (2, False)):
+        with pytest.raises(ShapeError, match="is a bool, not an index"):
+            central_product(H1, H1, [pair])
+
+
 def test_central_product_no_identification_is_direct_sum():
     H = build("H", GF3, m=1)
     A = abelian(GF3, 2)

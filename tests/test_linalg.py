@@ -16,7 +16,6 @@ from liecap import (
 from liecap import linalg
 from liecap.errors import ShapeError
 from liecap.linalg import (
-    complement_in,
     coordinate_subspace,
     full_subspace,
     rref_rows,
@@ -27,6 +26,7 @@ from liecap.linalg import (
 import oracles
 from oracles import (
     apply_rows,
+    complement_in,
     coordinates,
     extend_to_complement,
     extend_to_complement_greedy,

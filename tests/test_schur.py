@@ -75,7 +75,6 @@ from liecap.liealg import (
 )
 from liecap.linalg import (
     _kernel_canonical,
-    complement_in,
     coordinate_subspace,
     subspace_intersect,
     zero_subspace,
@@ -95,6 +94,7 @@ from oracles import (
     apply_rows,
     brute_force_multiplier_dim_abelian,
     commutator_full_route,
+    complement_in,
     epicenter_test_dd_by_intersection,
     exterior_center_all_pairs,
     exterior_center_from,
@@ -102,10 +102,10 @@ from oracles import (
     free_presentation,
     lower_central_series_loop,
     lyndon_count,
+    on_basis,
     present,
     quotient_projection_by_reduction,
     quotient_table_by_kept_pairs,
-    solve_right_inverse,
     upper_central_series_by_quotients,
 )
 
@@ -620,24 +620,8 @@ def _rebase(draw, L):
               for j in range(n)] for i in range(n)]
     lu = [[sum((f.mul(lower[i][t], upper[t][j]) for t in range(n)), f.zero)
            for j in range(n)] for i in range(n)]
-    return _on_basis(L, [[f.coerce(x) for x in lu[perm[i]]]
-                         for i in range(n)])
-
-
-def _on_basis(L, P):
-    """(P^-1, L') with L' the algebra L on the basis f_a = sum_i P[i][a]
-    e_i, P invertible."""
-    f, n = L.field, L.dim
-    Pinv = solve_right_inverse(f, P, n)
-    cols = list(zip(*P))
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            coords = apply_rows(f, Pinv, L.bracket(cols[a], cols[b]))
-            entry_ab = {k: x for k, x in enumerate(coords) if x != 0}
-            if entry_ab:
-                brackets[(a, b)] = entry_ab
-    return Pinv, LieAlgebra(f, n, brackets, name=f"{L.name}'")
+    return on_basis(L, [[f.coerce(x) for x in lu[perm[i]]]
+                        for i in range(n)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -670,9 +654,9 @@ def _l27b_sliding(f):
     has the canonical rows f_4 - f_6 and f_5 - f_6, nonzero at the
     generator column 6, and Z^(L) = span(e_6) = span(f_5 - f_6) is too."""
     n = 7
-    return _on_basis(build("L27B", f), [[f.coerce(int(i <= a))
-                                         for a in range(n)]
-                                        for i in range(n)])[1]
+    return on_basis(build("L27B", f), [[f.coerce(int(i <= a))
+                                        for a in range(n)]
+                                       for i in range(n)])[1]
 
 
 @st.composite

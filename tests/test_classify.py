@@ -94,8 +94,9 @@ def test_class2_stem_dimension_rule():
 
 
 def test_dim7_stems_by_pencil_rank():
-    # the pencil system in L (+) L has 14 unknowns and a kernel of
-    # 2 dim Z(L) = 4, plus one for L27B's block of minimal index 1
+    # L27A's pencil system has 14 unknowns and a kernel of 2 dim Z(L) = 4;
+    # L27B's block of minimal index 1 adds one to the kernel, and a tail
+    # A(k) adds 2k unknowns and 2k to the kernel
     va = capability_structural(build("L27A", QQ))
     assert va.capable and va.rule == RULE_CLASS2_DIM7_PENCIL
     assert va.family_label == "L27A"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
@@ -62,7 +62,12 @@ class LieAlgebra:
                     and 0 <= i < j < dim):
                 raise ShapeError(f"bad bracket pair ({i}, {j}) for dim {dim}")
             entry: SparseVec = {}
-            items = out.items() if isinstance(out, Mapping) else out
+            try:
+                items = [(k, c) for k, c in (
+                    out.items() if isinstance(out, Mapping) else out)]
+            except (TypeError, ValueError):
+                raise ShapeError(f"bracket ({i}, {j}) is {out!r}, not a "
+                                 f"mapping or (index, value) pairs") from None
             for k, c in items:
                 if not (linalg._is_int(k) and 0 <= k < dim):
                     raise ShapeError(f"bracket target {k} out of range")
@@ -182,11 +187,8 @@ class LieAlgebra:
         a._check_mate(b)
         if a.ambient_dim != self.dim:
             raise ShapeError("subspace ambient does not match algebra dim")
-        sb = [{j: c for j, c in enumerate(y) if c != 0} for y in b.basis]
-        rows = []
-        for x in a.basis:
-            sx = {i: c for i, c in enumerate(x) if c != 0}
-            rows += [self.bracket_sparse(sx, sy) for sy in sb]
+        sa, sb = [dict(x) for x in a.rows], [dict(y) for y in b.rows]
+        rows = [self.bracket_sparse(x, y) for x in sa for y in sb]
         return linalg._span_canonical(self.field, self.dim, rows)
 
     def derived_subalgebra(self) -> Subspace:
@@ -212,7 +214,7 @@ class LieAlgebra:
         f = self.field
         rows: dict = {}
         for (i, j), entry in self.table.items():
-            if z.basis:
+            if z.rows:
                 entry = {t: c for t, c in
                          enumerate(z.reduce(self._densify(entry))) if c != 0}
             for t, c in entry.items():
@@ -281,7 +283,7 @@ class LieAlgebra:
         series = [linalg.zero_subspace(self.field, self.dim)]
         while series[-1].dim < self.dim:
             zi = series[-1]
-            nxt = self._center_mod(zi) if zi.basis else self.center()
+            nxt = self._center_mod(zi) if zi.rows else self.center()
             series.append(nxt)
             if nxt.dim == zi.dim:
                 break  # stabilized below L: not nilpotent
@@ -314,8 +316,7 @@ class LieAlgebra:
         entries on two kept indices reduced mod I."""
         if ideal.ambient_dim != self.dim or ideal.field != self.field:
             raise ShapeError("ideal lives in the wrong space")
-        for row in ideal.basis:
-            srow = {i: c for i, c in enumerate(row) if c != 0}
+        for srow in map(dict, ideal.rows):
             for j in range(self.dim):
                 img = self.bracket_sparse(srow, {j: self.field.one})
                 if img and any(ideal.reduce(self._densify(img))):
@@ -424,6 +425,8 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
             raise ShapeError(f"gluing element {v!r} is a bool, not an index")
         if linalg._is_int(v):
             return alg.basis_vector(int(v))
+        if not isinstance(v, Iterable):
+            raise ShapeError(f"gluing element {v!r}: neither index nor vector")
         return tuple(f.coerce(c) for c in v)
 
     za, zb = a.center(), b.center()

@@ -14,7 +14,7 @@ Two elimination routines remain:
   every row the library builds itself, on every field: the wedge
   relations of schur, and the subspaces of L that _span_canonical and
   _kernel_canonical take as dicts (L^2, [A, B], the centers and Z^(L)),
-  which are written dense only for the returned Subspace.  Over Q it
+  whose canonical rows the returned Subspace keeps sparse.  Over Q it
   reduces the dense rows of rref_rows too;
 * _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
   column eliminations vectorized.  Only rref_rows reaches it, for the
@@ -38,8 +38,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .field import FieldSpec
-
-Vector = tuple  # tuple[Scalar, ...]
 
 
 # ======================================================================
@@ -83,8 +81,7 @@ def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[in
         return [], []
     if not field.is_rationals:
         return _rref_gf(rows, field.p)
-    echelon = _echelon_sparse(
-        field, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    echelon = _echelon_sparse(field, map(dict, _pairs(rows)))
     pivots = sorted(echelon)
     zero, n = field.zero, len(rows[0])
     return [[echelon[p].get(c, zero) for c in range(n)]
@@ -194,14 +191,15 @@ def _combine(row: dict, a, b, other: dict, p: int) -> list:
 class Subspace:
     """A subspace of field^ambient_dim held in RREF-canonical form.
 
-    `basis` rows are the canonical RREF rows (no zero rows), `pivots` their
-    pivot columns in increasing order.  Construct via span()/kernel()/... —
-    direct construction must supply already-canonical data.
+    `rows` are the canonical RREF rows (no zero rows), each the tuple of its
+    (column, nonzero value) pairs by column, `pivots` their pivot columns
+    in increasing order.  Construct via span()/kernel()/... — direct
+    construction must supply already-canonical rows.
     """
 
     field: FieldSpec
     ambient_dim: int
-    basis: tuple  # tuple[Vector, ...]
+    rows: tuple  # tuple[tuple[(int, Scalar), ...], ...]
     pivots: tuple  # tuple[int, ...]
     # the hash, taken on first use: outside equality and repr
     _hash: int = dc_field(default=None, init=False, compare=False,
@@ -210,19 +208,30 @@ class Subspace:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.field, self.ambient_dim, self.basis, self.pivots))
+            h = hash((self.field, self.ambient_dim, self.rows, self.pivots))
             object.__setattr__(self, "_hash", h)
         return h
 
     @property
+    def basis(self) -> tuple:
+        """The canonical rows written dense, ambient_dim scalars each."""
+        out = []
+        for row in self.rows:
+            v = [self.field.zero] * self.ambient_dim
+            for c, x in row:
+                v[c] = x
+            out.append(tuple(v))
+        return tuple(out)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
-    def reduce(self, v: Sequence) -> Vector:
+    def reduce(self, v: Sequence) -> tuple:
         """Residual of v after eliminating this subspace's pivot coordinates.
 
         v is in the subspace iff the residual is zero.
@@ -231,13 +240,11 @@ class Subspace:
             raise ShapeError(f"vector length {len(v)} != ambient {self.ambient_dim}")
         f = self.field
         w = list(v)
-        for row, p in zip(self.basis, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             c = w[p]
             if c != 0:
-                for j in range(p, self.ambient_dim):
-                    x = row[j]
-                    if x != 0:
-                        w[j] = f.sub(w[j], f.mul(c, x))
+                for j, x in row:
+                    w[j] = f.sub(w[j], f.mul(c, x))
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
@@ -279,8 +286,13 @@ def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
 
 def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
     reduced, pivots = rref_rows(field, _coerced(field, ambient_dim, rows))
-    return Subspace(field, ambient_dim, tuple(map(tuple, reduced)),
-                    tuple(pivots))
+    return Subspace(field, ambient_dim, _pairs(reduced), tuple(pivots))
+
+
+def _pairs(rows: Iterable[Sequence]) -> tuple:
+    """The (column, value) pairs of each dense row's nonzero entries."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x)
+                 for row in rows)
 
 
 def _span_canonical(field: FieldSpec, ambient_dim: int,
@@ -288,21 +300,16 @@ def _span_canonical(field: FieldSpec, ambient_dim: int,
     """span() for rows the library built itself, as {column: scalar}
     dicts with nonzero scalars canonical in `field` and columns in
     range(ambient_dim), so nothing is coerced or checked again.  They are
-    reduced sparse, and written dense only for the returned Subspace."""
+    reduced sparse, and the returned Subspace keeps them so."""
     return _subspace(field, ambient_dim, _echelon_sparse(field, rows))
 
 
 def _subspace(field: FieldSpec, n: int, echelon: dict) -> Subspace:
     """The Subspace of field^n whose canonical rows are the sparse rows
-    of `echelon`, {pivot: row}, written dense."""
+    of `echelon`, {pivot: row}."""
     pivots = sorted(echelon)
-    basis = []
-    for p in pivots:
-        v = [field.zero] * n
-        for c, x in echelon[p].items():
-            v[c] = x
-        basis.append(tuple(v))
-    return Subspace(field, n, tuple(basis), tuple(pivots))
+    return Subspace(field, n, tuple(tuple(sorted(echelon[p].items()))
+                                    for p in pivots), tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, n: int) -> Subspace:
@@ -324,9 +331,8 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
 def kernel(field: FieldSpec, ncols: int, rows: Iterable[Sequence]) -> Subspace:
     """Null space {v : row . v = 0 for every row} as a canonical Subspace
     of field^ncols."""
-    return _kernel_canonical(field, ncols, [
-        {c: x for c, x in enumerate(row) if x}
-        for row in _coerced(field, ncols, rows)])
+    return _kernel_canonical(field, ncols, map(dict, _pairs(
+        _coerced(field, ncols, rows))))
 
 
 def _kernel_canonical(field: FieldSpec, ncols: int,
@@ -362,6 +368,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     stacked += [list(row) + zero for row in b.basis]
     reduced, pivots = rref_rows(f, stacked)
     cut = bisect_left(pivots, n)
-    return Subspace(f, n, tuple(tuple(r[n:]) for r in reduced[cut:]),
+    return Subspace(f, n, _pairs(r[n:] for r in reduced[cut:]),
                     tuple(p - n for p in pivots[cut:]))
 

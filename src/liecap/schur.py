@@ -65,15 +65,15 @@ One table, res[l][t] = the residual of e_t ^ x_l mod J for each basis
 index t and generator x_l, as sparse rows over the pair columns that are
 not J pivots (so its width is dim L ^ L), serves both of the answers
 below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l, solved for
-z supported on S, the coordinates where some canonical row of L^2 is
-nonzero: its pivots, and each non-pivot (generator) column where a row
-is nonzero, since a row is 0 at every other pivot.  For d >= 2, Z^(L)
+z supported on S, the columns of the (column, value) pairs of L^2's
+canonical rows: its pivots, and each non-pivot (generator) column where a
+row is nonzero, since a row is 0 at every other pivot.  For d >= 2, Z^(L)
 lies in L^2, so on S; for d <= 1, S is all of L.  The kernel is taken in
 one sparse reduction over the |S| unknowns, with a row per (l, column of
 L ^ L), and res[l][t] is read only for t in S.  The map from positions
 in S to the coordinates of L is increasing, so it keeps a canonical basis
-canonical, and the null vectors are written back at S's indices as they
-are.  On a basis where L^2 is a coordinate span, as on a graded one, S
+canonical, and the null vectors' pairs are written back at S's indices as
+they are.  On a basis where L^2 is a coordinate span, as on a graded one, S
 is the dim L^2 pivots, so Z^(L) <= L^2 holds by construction there.
 When graded, J and the x_l are homogeneous, so the rows of z of
 different degrees share no column and the echelon's column index keeps
@@ -241,11 +241,10 @@ def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
     f = L.field
     residuals = _wedge(L).residuals
     rows = []
-    for v in I.basis:
-        support = [(t, x) for t, x in enumerate(v) if x != 0]
+    for v in I.rows:
         for per_l in residuals:
             row: dict = {}
-            for t, x in support:
+            for t, x in v:
                 for i, y in per_l.get(t, ()):
                     row[i] = f.add(row.get(i, f.zero), f.mul(x, y))
             rows.append({i: y for i, y in row.items() if y})
@@ -267,11 +266,11 @@ def exterior_square_dim(L: LieAlgebra) -> int:
 def exterior_center(L: LieAlgebra) -> Subspace:
     """{z in L : z wedge x = 0 for every x}, as a subspace of L, cached on
     L: the kernel of z -> (sum_t z_t residuals[l][t])_l, one sparse row
-    per (l, column of L ^ L), over the z supported on S, the coordinates
-    where some canonical row of L^2 is nonzero (all of L when L has at
-    most one generator).  Z^(L) lies in L^2 (module docstring), so on S;
-    only the residuals of t in S are read, and the null vectors over S
-    are written back at S's indices.  _wedge comes first, so a
+    per (l, column of L ^ L), over the z supported on S, the columns of
+    the pairs of L^2's canonical rows (all of L when L has at most one
+    generator).  Z^(L) lies in L^2 (module docstring), so on S; only the
+    residuals of t in S are read, and the pairs of the null vectors over
+    S are written back at S's indices.  _wedge comes first, so a
     non-nilpotent L raises NotNilpotentError."""
     cached = L._cache.get("exterior_center")
     if cached is not None:
@@ -281,26 +280,16 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     if len(residuals) < 2:
         support = range(n)
     else:
-        # an L^2 row is 0 at every other pivot, so off its own pivot it can
-        # be nonzero only at the generators' columns
-        derived = L.derived_subalgebra()
-        taken = set(derived.pivots)
-        support = sorted(taken.union(
-            g for g in range(n)
-            if g not in taken and any(row[g] for row in derived.basis)))
+        support = sorted({c for row in L.derived_subalgebra().rows
+                          for c, _ in row})
     rows: dict = {}
     for l, per_l in enumerate(residuals):
         for a, t in enumerate(support):
             for i, x in per_l.get(t, ()):
                 rows.setdefault((l, i), {})[a] = x
     inside = _kernel_canonical(f, len(support), rows.values())
-    basis = []
-    for row in inside.basis:
-        v = [f.zero] * n
-        for t, x in zip(support, row):
-            v[t] = x
-        basis.append(tuple(v))
-    cached = Subspace(f, n, tuple(basis),
+    cached = Subspace(f, n, tuple(tuple((support[a], x) for a, x in row)
+                                  for row in inside.rows),
                       tuple(support[a] for a in inside.pivots))
     L._cache["exterior_center"] = cached
     return cached

@@ -46,6 +46,7 @@ from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Subspace,
+    _pairs,
     coordinate_subspace,
     kernel,
     rref_rows,
@@ -268,7 +269,7 @@ def span_rows(f, n: int, rows) -> Subspace:
     public span() re-coerces every entry, which made the presentation
     test about 4x slower."""
     reduced, pivots = rref_rows(f, rows)
-    return Subspace(f, n, tuple(map(tuple, reduced)), tuple(pivots))
+    return Subspace(f, n, _pairs(reduced), tuple(pivots))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -338,7 +339,7 @@ def complement_in(sub: Subspace, ambient: Subspace) -> Subspace:
         raise ShapeError("complement_in: first argument is not inside second")
     taken = set(sub.pivots)
     rows, pivots = [], []
-    for row, p in zip(ambient.basis, ambient.pivots):
+    for row, p in zip(ambient.rows, ambient.pivots):
         if p not in taken:
             rows.append(row)
             pivots.append(p)

@@ -1,6 +1,7 @@
 """Structure-constant Lie algebras: brackets, series, quotients, products."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,15 @@ def test_non_int_dimension_or_index_rejected(dim, brackets):
     with pytest.raises(ShapeError, match="is not an int|bad bracket pair"
                                          "|bracket target"):
         LieAlgebra(QQ, dim, brackets)
+
+
+@pytest.mark.parametrize("out", [5, None, [(2,)], [(2, 1, 0)], [2]])
+def test_bracket_entry_neither_mapping_nor_pairs_rejected(out):
+    # 5 used to raise a raw TypeError while the entry was read, [(2,)] a
+    # raw ValueError
+    with pytest.raises(ShapeError, match=r"bracket \(0, 1\) is .*, not a "
+                                         r"mapping or \(index, value\) pairs"):
+        LieAlgebra(QQ, 3, {(0, 1): out})
 
 
 def test_numpy_integer_dimension_and_indices_accepted():
@@ -336,6 +346,24 @@ def test_center_abelian_is_everything():
     assert A.center().dim == 4
 
 
+@pytest.mark.parametrize("f", [QQ, GF2], ids=str)
+def test_subspaces_of_a_large_abelian_algebra_stay_sparse(f):
+    # Z(A(2000)), both central series and the minimal generators are
+    # coordinate spans: one (column, value) pair per row, under 2 MB
+    # traced, where 2000 dense rows of 2000 scalars took about 93 MB
+    L = abelian(f, 2000)
+    tracemalloc.start()
+    try:
+        got = (L.center(), L.lower_central_series(),
+               L.upper_central_series(), minimal_generators(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full, zero = L.full_space(), zero_subspace(f, 2000)
+    assert got == (full, (full, zero), (zero, full), full)
+    assert peak < 8 * 2**20
+
+
 def test_upper_series_reaches_whole_algebra_iff_nilpotent():
     L = build("L6_22", QQ, eps=1)
     assert L.upper_central_series()[-1].dim == 6
@@ -490,6 +518,9 @@ def test_central_product_reads_a_numpy_index_and_refuses_a_bool():
         assert prod.same_table(want)
     for pair in ((True, 2), (2, False)):
         with pytest.raises(ShapeError, match="is a bool, not an index"):
+            central_product(H1, H1, [pair])
+    for pair in ((2.0, 2), (None, 2)):
+        with pytest.raises(ShapeError, match="neither index nor vector"):
             central_product(H1, H1, [pair])
 
 

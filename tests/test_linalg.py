@@ -159,6 +159,12 @@ def test_canonical_span_and_kernel_match_gauss_jordan(case):
         assert (got.ambient_dim, got.pivots) == (n, tuple(pivots))
         assert repr(got.basis) == repr(tuple(map(tuple, basis)))
         assert got == dense and repr(got.basis) == repr(dense.basis)
+        # the stored rows: the oracle's nonzero (column, value) pairs
+        assert got.rows == dense.rows == tuple(
+            tuple((c, x) for c, x in enumerate(row) if x != 0)
+            for row in basis) and all(
+            type(x) is type(f.one) for row in got.rows + dense.rows
+            for _, x in row)
     assert sparse == before
 
 
@@ -525,7 +531,7 @@ def test_hash_is_cached_outside_equality_and_repr(f):
     b = span(f, 3, [[2, 2, 2], [0, 0, -1]])
     assert a._hash is None and b._hash is None
     h = hash(a)
-    assert a._hash == h == hash((f, 3, a.basis, a.pivots))
+    assert a._hash == h == hash((f, 3, a.rows, a.pivots))
     assert a == b and b._hash is None
     assert hash(b) == h and hash(a) == h
     assert repr(a) == repr(b) == f"Subspace({f}, dim 2 of 3)"

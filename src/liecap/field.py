@@ -89,6 +89,8 @@ class FieldSpec:
 
     def coerce(self, x) -> Scalar:
         """Canonicalize an int, Fraction, or scalar string into this field."""
+        if type(x) is int:
+            return x % self.p if self.p else Fraction(x)
         if isinstance(x, str):
             return self.parse(x)
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):

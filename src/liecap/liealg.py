@@ -13,8 +13,9 @@ derived data.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
@@ -56,8 +57,18 @@ class LieAlgebra:
                                 f"{DEFAULT_MAX_DIM}")
         self.field = field
         self.dim = dim = int(dim)
+        if brackets is None:
+            brackets = {}
+        elif not isinstance(brackets, Mapping):
+            raise ShapeError(f"brackets {brackets!r} is not a mapping from "
+                             f"pairs (i, j) to entries")
         table: dict = {}
-        for (i, j), out in (brackets or {}).items():
+        for key, out in brackets.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ShapeError(f"bracket key {key!r} is not a pair "
+                                 f"(i, j)") from None
             if not (linalg._is_int(i) and linalg._is_int(j)
                     and 0 <= i < j < dim):
                 raise ShapeError(f"bad bracket pair ({i}, {j}) for dim {dim}")
@@ -211,7 +222,7 @@ class LieAlgebra:
         table entry (i, j) puts c = [e_i, e_j]_t mod z in row (j, t) at
         column i and -c in row (i, t) at column j.  A row meets each
         column through one table entry, so nothing is summed."""
-        f = self.field
+        p = self.field.p  # 0 over Q
         rows: dict = {}
         for (i, j), entry in self.table.items():
             if z.rows:
@@ -219,8 +230,8 @@ class LieAlgebra:
                          enumerate(z.reduce(self._densify(entry))) if c != 0}
             for t, c in entry.items():
                 rows.setdefault((j, t), {})[i] = c
-                rows.setdefault((i, t), {})[j] = f.neg(c)
-        return linalg._kernel_canonical(f, self.dim, rows.values())
+                rows.setdefault((i, t), {})[j] = -c % p if p else -c
+        return linalg._kernel_canonical(self.field, self.dim, rows.values())
 
     def degrees(self) -> Optional[tuple]:
         """The degree of each basis vector when the basis is standard-graded,
@@ -429,9 +440,16 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
             raise ShapeError(f"gluing element {v!r}: neither index nor vector")
         return tuple(f.coerce(c) for c in v)
 
+    xs, ys = [], []
+    for pair in pairs:
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise ShapeError(f"gluing pair {pair!r} is not a pair "
+                             f"(x, y)") from None
+        xs.append(_vec(a, x))
+        ys.append(_vec(b, y))
     za, zb = a.center(), b.center()
-    xs = [_vec(a, x) for x, _ in pairs]
-    ys = [_vec(b, y) for _, y in pairs]
     for x in xs:
         if not za.contains(x):
             raise ShapeError("left gluing element is not central")

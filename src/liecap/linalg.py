@@ -10,18 +10,22 @@ Two elimination routines remain:
 * _echelon_sparse reduces rows held as {column: scalar} dicts, one row at
   a time, and returns the canonical rows stored sparse.  Over Q it works
   fraction-free on primitive integer rows, and Fractions appear only in
-  the returned rows; over GF(p) the rows are ints mod p.  It reduces
-  every row the library builds itself, on every field: the wedge
-  relations of schur, and the subspaces of L that _span_canonical and
-  _kernel_canonical take as dicts (L^2, [A, B], the centers and Z^(L)),
-  whose canonical rows the returned Subspace keeps sparse.  Over Q it
-  reduces the dense rows of rref_rows too;
+  the returned rows; over GF(p) the rows are ints mod p, each 1 at its
+  pivot, and are combined in place with no helper call, since most of
+  the rows it sees are a few entries long.  It reduces every row the
+  library builds itself, on every field: the wedge relations of schur,
+  and the subspaces of L that _span_canonical and _kernel_canonical take
+  as dicts (L^2, [A, B], the centers and Z^(L)), whose canonical rows the
+  returned Subspace keeps sparse.  Over Q it reduces the dense rows of
+  rref_rows too;
 * _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
   column eliminations vectorized.  Only rref_rows reaches it, for the
   outside rows of span() and for subspace_intersect.  FieldSpec caps p
   below 2^31 so residue products fit in int64.
 
 Both are exact; there is no floating point and no modular lifting.
+Subspace.contains_subspace reads the sparse canonical rows of both sides
+and reduces nothing dense.
 """
 
 from __future__ import annotations
@@ -103,9 +107,11 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     linger), not by a scan of every stored row: rows of a block-diagonal
     input, like the wedge relations of each degree, never meet.
 
-    Over GF(p) the rows are ints mod p, kept 1 at their pivots.  Over Q
-    each row is scaled to a primitive integer row (denominators cleared,
-    the gcd of its entries 1) and kept so, fraction-free; only the
+    Over GF(p) the rows are ints mod p, kept 1 at their pivots, so a
+    combination subtracts a multiple of one row from another in place,
+    each entry reduced mod p.  Over Q each row is scaled to a primitive
+    integer row (denominators cleared, the gcd of its entries 1) and kept
+    so, fraction-free, and _combine makes the combinations; only the
     returned rows are divided by their pivot entries.
     """
     p = field.p  # 0 over Q
@@ -113,10 +119,27 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     # column -> the pivots of the stored rows that may be nonzero there
     holders: defaultdict = defaultdict(set)
     for row in rows:
-        row = dict(row) if p else _primitive_integers(row)
-        for c in [c for c in row if c in echelon]:
-            other = echelon[c]
-            _combine(row, other[c], row[c], other, p)
+        if p:
+            row = dict(row)
+            # a stored row is 1 at its pivot c, so subtracting x = row[c]
+            # times it clears c: the difference there is 0 and is dropped
+            for c in [c for c in row if c in echelon]:
+                x = row[c]
+                for k, y in echelon[c].items():
+                    if k not in row:
+                        # x, y != 0: the new entry is not 0
+                        row[k] = -x * y % p
+                        continue
+                    v = (row[k] - x * y) % p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        else:
+            row = _primitive_integers(row)
+            for c in [c for c in row if c in echelon]:
+                other = echelon[c]
+                _combine(row, other[c], row[c], other)
         if not row:
             continue
         piv = min(row)
@@ -130,8 +153,21 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
         for q in holders.pop(piv) - {piv}:
             other = echelon[q]
             y = other.get(piv)
-            if y is not None:
-                for c in _combine(other, x, y, row, p):
+            if y is None:
+                continue
+            if p:
+                for k, z in row.items():
+                    if k not in other:
+                        other[k] = -y * z % p
+                        holders[k].add(q)
+                        continue
+                    v = (other[k] - y * z) % p
+                    if v:
+                        other[k] = v
+                    else:
+                        del other[k]
+            else:
+                for c in _combine(other, x, y, row):
                     holders[c].add(q)
         echelon[piv] = row
     if not p:
@@ -149,14 +185,13 @@ def _primitive_integers(row: dict) -> dict:
     return {c: y // g for c, y in out.items()} if g > 1 else out
 
 
-def _combine(row: dict, a, b, other: dict, p: int) -> list:
-    """row := a * row - b * other in place, over GF(p) (p > 0), where a is
-    1, or over Q (p == 0) on primitive integer rows, where a and b are
-    first divided by their gcd and row is left primitive; the entries that
-    cancel are dropped.  Returns the columns that were 0 in row before."""
-    if not p:
-        g = math.gcd(a, b)
-        a, b = a // g, b // g
+def _combine(row: dict, a: int, b: int, other: dict) -> list:
+    """row := a * row - b * other in place, on primitive integer rows over
+    Q: a and b are first divided by their gcd, the entries that cancel
+    are dropped and row is left primitive.  Returns the columns that were
+    0 in row before."""
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
     if a != 1:
         for c in row:
             row[c] *= a
@@ -165,21 +200,18 @@ def _combine(row: dict, a, b, other: dict, p: int) -> list:
         x = row.get(c)
         if x is None:
             # b, y != 0, so the new entry is not 0
-            row[c] = -b * y % p if p else -b * y
+            row[c] = -b * y
             fresh.append(c)
             continue
         v = x - b * y
-        if p:
-            v %= p
         if v:
             row[c] = v
         else:
             del row[c]
-    if not p:
-        g = math.gcd(*row.values())
-        if g > 1:
-            for c in row:
-                row[c] //= g
+    g = math.gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
     return fresh
 
 
@@ -252,10 +284,29 @@ class Subspace:
         return not any(self.reduce([self.field.coerce(x) for x in v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """other <= self, read off the sparse rows.  A row of self is 0 at
+        every other pivot of self, so a row w of other lies in self exactly
+        when w minus x times self's row at q, for each pair (q, x) of w
+        with q a pivot of self, leaves nothing."""
         self._check_mate(other)
-        if not set(other.pivots) <= set(self.pivots):
+        at = dict(zip(self.pivots, self.rows))
+        if not all(q in at for q in other.pivots):
             return False
-        return not any(any(self.reduce(row)) for row in other.basis)
+        p, zero = self.field.p, self.field.zero  # p is 0 over Q
+        for row in other.rows:
+            w = dict(row)
+            for q, x in row:
+                for k, y in at.get(q, ()):
+                    v = w.get(k, zero) - x * y
+                    if p:
+                        v %= p
+                    if v:
+                        w[k] = v
+                    else:
+                        del w[k]
+            if w:
+                return False
+        return True
 
     def _check_mate(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -345,14 +396,14 @@ def _kernel_canonical(field: FieldSpec, ncols: int,
     right of c; in increasing c these vectors are already the canonical
     basis, with pivots at the free columns, so nothing is reduced again.
     """
-    f, n = field, ncols
+    f, n, p = field, ncols, field.p  # p is 0 over Q
     echelon = _echelon_sparse(
         f, ({n - 1 - c: x for c, x in row.items()} for row in rows))
     null = {c: {c: f.one} for c in range(n) if n - 1 - c not in echelon}
     for q, row in echelon.items():
         for k, x in row.items():
             if k != q:
-                null[n - 1 - k][n - 1 - q] = f.neg(x)
+                null[n - 1 - k][n - 1 - q] = -x % p if p else -x
     return _subspace(f, n, null)
 
 

@@ -106,7 +106,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
-from .liealg import DEFAULT_MAX_DIM, LieAlgebra, minimal_generators
+from .liealg import DEFAULT_MAX_DIM, LieAlgebra
 from .linalg import Subspace, _echelon_sparse, _kernel_canonical
 
 
@@ -179,39 +179,43 @@ def _wedge(L: LieAlgebra) -> _Wedge:
     col = {pair: c for c, pair in enumerate(
         (i, j) for i in range(n) for j in range(i + 1, n)
         if deg[i] + deg[j] <= cut)}
-    # the triples that meet a table entry, within the cut; index order
-    # need not follow degree
+    # d3(e_i ^ e_j ^ e_k) = [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j
+    # for i < j < k: a table entry (a, b), a < b, adds its term to the row
+    # of each triple it meets within the cut, negated when the third index
+    # m lies between a and b, and e_s ^ e_m = -(e_m ^ e_s).  Index order
+    # need not follow degree.  The entries are summed as they are and
+    # reduced once.
     order = sorted(range(n), key=deg.__getitem__)
     sorted_deg = [deg[m] for m in order]
-    triples = set()
-    for a, b in L.table:
+    zero = f.zero
+    sums: dict = {}
+    for (a, b), br in L.table.items():
         room = bisect_right(sorted_deg, cut - deg[a] - deg[b])
-        triples.update(tuple(sorted((a, b, m))) for m in order[:room]
-                       if m != a and m != b)
-    get = L.table.get
-    rows = []
-    for i, j, k in sorted(triples):
-        row: dict = {}
-        # [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j, with
-        # e_s ^ e_m = -(e_m ^ e_s)
-        for br, m, flip in ((get((i, j)), k, False), (get((j, k)), i, False),
-                            (get((i, k)), j, True)):
-            for s, x in (br or {}).items():
+        for m in order[:room]:
+            if m == a or m == b:
+                continue
+            row = sums.setdefault((m, a, b) if m < a else (a, m, b) if m < b
+                                  else (a, b, m), {})
+            flip = a < m < b
+            for s, x in br.items():
                 if s != m:
-                    p = col[(s, m) if s < m else (m, s)]
-                    v = f.add(row.get(p, f.zero),
-                              f.neg(x) if flip != (s > m) else x)
-                    if v:
-                        row[p] = v
-                    else:
-                        del row[p]
-        rows.append(row)
+                    c = col[s, m] if s < m else col[m, s]
+                    row[c] = row.get(c, zero) + (-x if (s > m) != flip
+                                                 else x)
+    p = f.p  # 0 over Q
+    rows = [{c: x % p for c, x in row.items() if x % p} if p
+            else {c: x for c, x in row.items() if x}
+            for row in map(sums.get, sorted(sums))]
     echelon = _echelon_sparse(f, rows)
     free = {c: i for i, c in enumerate(c for c in col.values()
                                        if c not in echelon)}
     minus_one = f.neg(f.one)
+    derived = set(L.derived_subalgebra().pivots)
     residuals = []
-    for l in minimal_generators(L).pivots:
+    # the minimal generators x_l: e_l for l not a pivot of L^2
+    for l in range(n):
+        if l in derived:
+            continue
         per_l = {}
         for t in range(n):
             if t == l:
@@ -223,7 +227,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
             if row is None:
                 per_l[t] = ((free[q], f.one if t < l else minus_one),)
             else:
-                res = tuple((free[c], f.neg(x) if t < l else x)
+                res = tuple((free[c], (-x % p if p else -x) if t < l else x)
                             for c, x in row.items() if c != q)
                 if res:
                     per_l[t] = res

@@ -157,6 +157,18 @@ def test_bracket_entry_neither_mapping_nor_pairs_rejected(out):
         LieAlgebra(QQ, 3, {(0, 1): out})
 
 
+@pytest.mark.parametrize("brackets, what", [
+    ({5: {2: 1}}, r"bracket key 5 is not a pair \(i, j\)"),
+    ({(0, 1, 2): {2: 1}}, r"bracket key \(0, 1, 2\) is not a pair"),
+    ([((0, 1), {2: 1})], r"brackets \[.*\] is not a mapping"),
+])
+def test_bracket_key_or_container_of_the_wrong_shape_rejected(brackets,
+                                                              what):
+    # these used to raise a raw TypeError, ValueError and AttributeError
+    with pytest.raises(ShapeError, match=what):
+        LieAlgebra(GF2, 3, brackets)
+
+
 def test_numpy_integer_dimension_and_indices_accepted():
     # numpy integers, e.g. indices taken from np.nonzero, are integers
     three, zero, one, two = (np.int64(k) for k in (3, 0, 1, 2))
@@ -522,6 +534,14 @@ def test_central_product_reads_a_numpy_index_and_refuses_a_bool():
     for pair in ((2.0, 2), (None, 2)):
         with pytest.raises(ShapeError, match="neither index nor vector"):
             central_product(H1, H1, [pair])
+
+
+@pytest.mark.parametrize("pairs", [[2], [(2,)], [(2, 2, 2)]])
+def test_central_product_refuses_a_gluing_pair_of_the_wrong_shape(pairs):
+    # these used to raise a raw TypeError or ValueError
+    H1 = build("H", QQ, m=1)
+    with pytest.raises(ShapeError, match="gluing pair .* is not a pair"):
+        central_product(H1, H1, pairs)
 
 
 def test_central_product_no_identification_is_direct_sum():

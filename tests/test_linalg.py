@@ -105,10 +105,10 @@ def _sparse_cases(draw):
                                  Fraction(-5, 6)])
     else:
         entry = st.integers(0, f.p - 1)
-    n = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 12))
     rows = [[f.coerce(x) for x in row] for row in
             draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                          max_size=6))]
+                          max_size=10))]
     if rows:
         rows.append([f.zero] * n)
         rows += draw(st.lists(st.sampled_from(rows), max_size=2))
@@ -545,6 +545,24 @@ def test_contains_subspace():
     small = span(QQ, 3, [[1, 1, 0]])
     assert big.contains_subspace(small)
     assert not small.contains_subspace(big)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_cases(), st.data())
+def test_contains_subspace_matches_the_dense_rank(case, data):
+    # rows split into the spans a and b; the later rows of a case are
+    # often combinations of earlier ones, so b lies in a now and then,
+    # and a subspan of a always does
+    f, n, rows = case
+    cut = data.draw(st.integers(0, len(rows)))
+    a, b = span(f, n, rows[:cut]), span(f, n, rows[cut:])
+    part = span(f, n, rows[:data.draw(st.integers(0, cut))])
+    for big, small in ((a, b), (b, a), (a, part)):
+        stacked = [list(r) for r in big.basis + small.basis]
+        want = len(gauss_jordan(f, stacked)[1]) == big.dim
+        assert big.contains_subspace(small) is want
+        assert want == (not any(any(big.reduce(r)) for r in small.basis))
+    assert a.contains_subspace(part)
 
 
 # ----------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .errors import NotNilpotentError, ScopeError
 from .field import GF2, QQ, FieldSpec
 from .freelie import free_nilpotent, hall_basis, tree_degree, witt_dimension
 from .liealg import LieAlgebra, abelian, central_product, direct_sum
-from .linalg import (Subspace, _echelon_sparse, span, subspace_intersect,
-                     zero_subspace)
+from .linalg import (Subspace, _echelon_sparse, _span_canonical,
+                     coordinate_subspace, subspace_intersect, zero_subspace)
 
 # enumerated decision-rule tags for Verdict.rule
 RULE_ABELIAN = "abelian-dimension"
@@ -320,11 +320,11 @@ def _rand_central_line(L: LieAlgebra, rng: random.Random) -> Optional[Subspace]:
             coeffs = [rng.randrange(f.p) for _ in range(z.dim)]
         if any(c != f.zero for c in coeffs):
             break
-    vec = [f.zero] * L.dim
-    for c, row in zip(coeffs, z.basis):
-        for i, x in enumerate(row):
-            vec[i] = f.add(vec[i], f.mul(c, x))
-    return span(f, L.dim, [vec])
+    vec: dict = {}
+    for c, row in zip(coeffs, z.rows):
+        for i, x in row:
+            vec[i] = f.add(vec.get(i, f.zero), f.mul(c, x))
+    return _span_canonical(f, L.dim, [{i: x for i, x in vec.items() if x}])
 
 
 def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2),
@@ -396,8 +396,7 @@ def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
             dims = []
             ok = True
             for idx in (4, 5):
-                line = span(f, 6, [tuple(
-                    f.one if i == idx else f.zero for i in range(6))])
+                line = coordinate_subspace(f, 6, [idx])
                 q = L.quotient(line)
                 mq = schur.schur_multiplier_dim(q)
                 dims.append(mq)
@@ -497,8 +496,7 @@ def _check_quotient_witnesses(report: VerificationReport,
     cases = [("L5_7", 4, "L4_3"), ("L6_13", 5, "L5_5")]
     for src_name, kill, want_name in cases:
         src = catalog.build(src_name, f)
-        line = span(f, src.dim, [tuple(
-            f.one if i == kill else f.zero for i in range(src.dim))])
+        line = coordinate_subspace(f, src.dim, [kill])
         q = src.quotient(line)
         want = catalog.build(want_name, f)
         report.add(sec, f"{lab}/{src_name}->{want_name}",
@@ -515,10 +513,9 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
     checked = 0
     for idx, L in enumerate(algebras):
         derived = L.derived_subalgebra()
-        lines = []
-        z = L.center()
-        for row in z.basis:
-            lines.append(span(f, L.dim, [row]))
+        # each canonical row of Z(L) is a canonical line on its own
+        lines = [Subspace(f, L.dim, (row,), (row[0][0],))
+                 for row in L.center().rows]
         rng = random.Random(seed * 1009 + idx)
         for _ in range(20):
             line = _rand_central_line(L, rng)
@@ -544,7 +541,7 @@ def _check_central_ideal_bound(report: VerificationReport, f: FieldSpec,
                "equality case at the exterior center", dd._asdict(),
                dd.lhs == dd.rhs and dd.contained)
     h1 = catalog.build("H", f, m=1)
-    zline = span(f, 3, [(f.zero, f.zero, f.one)])
+    zline = coordinate_subspace(f, 3, [2])
     dd = schur.epicenter_test_dd(h1, zline)
     report.add(sec, f"{lab}/H(1)/center-line",
                "strict case for the capable Heisenberg algebra", dd._asdict(),
@@ -586,15 +583,12 @@ def _push(glue: Subspace, sub: Subspace, offset: int,
     """Image in the central product `target` = (a (+) b)/glue of a subspace
     of the factor at `offset`: each row reduced mod glue and read at glue's
     non-pivot coordinates, the quotient's own rule."""
-    f = target.field
     pivots = set(glue.pivots)
-    rows = []
-    for row in sub.basis:
-        big = [f.zero] * glue.ambient_dim
-        big[offset:offset + len(row)] = row
-        rows.append([x for k, x in enumerate(glue.reduce(big))
-                     if k not in pivots])
-    return span(f, target.dim, rows)
+    pos = {k: a for a, k in enumerate(
+        k for k in range(glue.ambient_dim) if k not in pivots)}
+    rows = [{pos[k]: x for k, x in glue._residual(
+        {offset + c: x for c, x in row}).items()} for row in sub.rows]
+    return _span_canonical(target.field, target.dim, rows)
 
 
 def _check_free_algebra(report: VerificationReport, f: FieldSpec) -> None:

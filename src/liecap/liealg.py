@@ -138,6 +138,8 @@ class LieAlgebra:
         return tuple(out)
 
     def basis_vector(self, i: int) -> tuple:
+        if not linalg._is_int(i):
+            raise ShapeError(f"basis index {i!r} is not an int")
         if not 0 <= i < self.dim:
             raise ShapeError(f"basis index {i} out of range for dim {self.dim}")
         return tuple(self.field.one if j == i else self.field.zero
@@ -226,8 +228,7 @@ class LieAlgebra:
         rows: dict = {}
         for (i, j), entry in self.table.items():
             if z.rows:
-                entry = {t: c for t, c in
-                         enumerate(z.reduce(self._densify(entry))) if c != 0}
+                entry = z._residual(entry)
             for t, c in entry.items():
                 rows.setdefault((j, t), {})[i] = c
                 rows.setdefault((i, t), {})[j] = -c % p if p else -c
@@ -330,7 +331,7 @@ class LieAlgebra:
         for srow in map(dict, ideal.rows):
             for j in range(self.dim):
                 img = self.bracket_sparse(srow, {j: self.field.one})
-                if img and any(ideal.reduce(self._densify(img))):
+                if ideal._residual(img):
                     raise NotIdealError(
                         f"subspace is not an ideal (fails at basis {j})")
         pivots = set(ideal.pivots)
@@ -339,9 +340,9 @@ class LieAlgebra:
         brackets: dict = {}
         for (i, j), sv in self.table.items():
             if i in pos and j in pos:
-                residual = ideal.reduce(self._densify(sv))
-                # residual is supported on non-pivot coordinates of the ideal
-                entry = {pos[k]: c for k, c in enumerate(residual) if c != 0}
+                # the residual is supported on non-pivot coordinates of I
+                entry = {pos[k]: c
+                         for k, c in sorted(ideal._residual(sv).items())}
                 if entry:
                     brackets[(pos[i], pos[j])] = entry
         return LieAlgebra(self.field, len(keep), brackets,

@@ -14,29 +14,30 @@ Two elimination routines remain:
   pivot, and are combined in place with no helper call, since most of
   the rows it sees are a few entries long.  It reduces every row the
   library builds itself, on every field: the wedge relations of schur,
-  and the subspaces of L that _span_canonical and _kernel_canonical take
-  as dicts (L^2, [A, B], the centers and Z^(L)), whose canonical rows the
-  returned Subspace keeps sparse.  Over Q it reduces the dense rows of
-  rref_rows too;
+  the subspaces of L that _span_canonical and _kernel_canonical take as
+  dicts (L^2, [A, B], the centers and Z^(L)), whose canonical rows the
+  returned Subspace keeps sparse, and the Zassenhaus rows of
+  subspace_intersect.  Over Q it reduces the dense rows of rref_rows too;
 * _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
-  column eliminations vectorized.  Only rref_rows reaches it, for the
-  outside rows of span() and for subspace_intersect.  FieldSpec caps p
-  below 2^31 so residue products fit in int64.
+  column eliminations vectorized.  Only rref_rows reaches it, and only
+  span() calls rref_rows, for rows from outside the library (central
+  product gluing vectors among them).  FieldSpec caps p below 2^31 so
+  residue products fit in int64.
 
 Both are exact; there is no floating point and no modular lifting.
-Subspace.contains_subspace reads the sparse canonical rows of both sides
-and reduces nothing dense.
+Reduction modulo a subspace is Subspace._residual alone, on sparse rows:
+reduce, contains, contains_subspace and the quotients of liealg go
+through it, and nothing reduces a dense row.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,8 +79,9 @@ def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
 
 
 def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[int]]:
-    """Canonical RREF of raw rows: (the nonzero canonical rows, their
-    pivots), one row per pivot."""
+    """Canonical RREF of dense rows, entries canonical in `field`: (the
+    nonzero canonical rows, their pivots), one row per pivot.  In the
+    package, span() alone calls it."""
     rows = list(rows)
     if not rows:
         return [], []
@@ -264,49 +266,46 @@ class Subspace:
         return not self.rows
 
     def reduce(self, v: Sequence) -> tuple:
-        """Residual of v after eliminating this subspace's pivot coordinates.
+        """Residual of v after eliminating this subspace's pivot coordinates,
+        its entries coerced into the field first.
 
         v is in the subspace iff the residual is zero.
         """
-        if len(v) != self.ambient_dim:
-            raise ShapeError(f"vector length {len(v)} != ambient {self.ambient_dim}")
-        f = self.field
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
-            if c != 0:
-                for j, x in row:
-                    w[j] = f.sub(w[j], f.mul(c, x))
+        f, n = self.field, self.ambient_dim
+        (row,) = _pairs(_coerced(f, n, [v]))
+        w = [f.zero] * n
+        for c, x in self._residual(dict(row)).items():
+            w[c] = x
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
         """Membership of v, its entries coerced into the field first."""
-        return not any(self.reduce([self.field.coerce(x) for x in v]))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        """other <= self, read off the sparse rows.  A row of self is 0 at
-        every other pivot of self, so a row w of other lies in self exactly
-        when w minus x times self's row at q, for each pair (q, x) of w
-        with q a pivot of self, leaves nothing."""
+        """other <= self: no row of other leaves a residual mod self."""
         self._check_mate(other)
+        return not any(map(self._residual, map(dict, other.rows)))
+
+    def _residual(self, w: dict) -> dict:
+        """The residual of a sparse row w, a {column: scalar} dict, mod
+        this subspace, as a new dict: w minus x times the row at q for each
+        pivot q where w holds x.  A canonical row is 0 at every other
+        pivot, so one pass clears every pivot, and w lies in the subspace
+        exactly when nothing remains."""
         at = dict(zip(self.pivots, self.rows))
-        if not all(q in at for q in other.pivots):
-            return False
         p, zero = self.field.p, self.field.zero  # p is 0 over Q
-        for row in other.rows:
-            w = dict(row)
-            for q, x in row:
-                for k, y in at.get(q, ()):
-                    v = w.get(k, zero) - x * y
-                    if p:
-                        v %= p
-                    if v:
-                        w[k] = v
-                    else:
-                        del w[k]
-            if w:
-                return False
-        return True
+        out = dict(w)
+        for q, x in w.items():
+            for k, y in at.get(q, ()):
+                v = out.get(k, zero) - x * y
+                if p:
+                    v %= p
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return out
 
     def _check_mate(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -324,18 +323,22 @@ def _is_int(x) -> bool:
 
 
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
-    """Outside rows, coerced into `field` and checked to have n entries,
-    n an int >= 0."""
+    """Outside rows, coerced into `field` and checked to be sequences of n
+    entries, n an int >= 0."""
     if not _is_int(n) or n < 0:
         raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
-    rows = [tuple(field.coerce(x) for x in row) for row in rows]
+    out = []
     for row in rows:
-        if len(row) != n:
-            raise ShapeError(f"row length {len(row)} != {n}")
-    return rows
+        if not isinstance(row, Iterable):
+            raise ShapeError(f"row {row!r} is not a sequence")
+        out.append(tuple(map(field.coerce, row)))
+        if len(out[-1]) != n:
+            raise ShapeError(f"row length {len(out[-1])} != {n}")
+    return out
 
 
 def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
+    """The span of dense rows from outside, coerced and shape-checked."""
     reduced, pivots = rref_rows(field, _coerced(field, ambient_dim, rows))
     return Subspace(field, ambient_dim, _pairs(reduced), tuple(pivots))
 
@@ -410,15 +413,12 @@ def _kernel_canonical(field: FieldSpec, ncols: int,
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection by Zassenhaus block reduction: the reduced rows of
     [a | a] over [b | 0] whose left half vanishes span a cap b.  They are
-    the rows with pivots past n, and their right halves are already
+    the rows with pivots n or more, and their right halves are already
     canonical: each is 1 at its pivot, where every other row is 0."""
     a._check_mate(b)
     f, n = a.field, a.ambient_dim
-    zero = [f.zero] * n
-    stacked = [list(row) + list(row) for row in a.basis]
-    stacked += [list(row) + zero for row in b.basis]
-    reduced, pivots = rref_rows(f, stacked)
-    cut = bisect_left(pivots, n)
-    return Subspace(f, n, _pairs(r[n:] for r in reduced[cut:]),
-                    tuple(p - n for p in pivots[cut:]))
-
+    stacked = [dict(row + tuple((n + c, x) for c, x in row)) for row in a.rows]
+    stacked += map(dict, b.rows)
+    echelon = _echelon_sparse(f, stacked)
+    return _subspace(f, n, {q - n: {c - n: x for c, x in row.items()}
+                            for q, row in echelon.items() if q >= n})

@@ -32,7 +32,10 @@ L^2.
 
 `gauss_jordan` is textbook dense elimination with FieldSpec arithmetic,
 the reference that the package's row reduction is compared with, and
-`null_space_gauss_jordan` the kernel read off it.
+`null_space_gauss_jordan` the kernel read off it.  `reduce_dense` is the
+dense residual mod a subspace that the quotient oracles read, so that
+they share no code with `Subspace._residual`, which `LieAlgebra.quotient`
+runs.
 """
 
 import itertools
@@ -84,6 +87,22 @@ def gauss_jordan(f, rows) -> tuple:
                            for y, z in zip(row, work[r])]
         pivots.append(c)
     return work[:len(pivots)], pivots
+
+
+def reduce_dense(sub: Subspace, v: Sequence) -> tuple:
+    """Residual of a dense vector v, its entries canonical in sub's field,
+    mod sub: for each dense canonical row in pivot order, v minus its
+    entry at the pivot times the row."""
+    if len(v) != sub.ambient_dim:
+        raise ShapeError(f"vector length {len(v)} != ambient "
+                         f"{sub.ambient_dim}")
+    f = sub.field
+    w = list(v)
+    for row, p in zip(sub.basis, sub.pivots):
+        c = w[p]
+        if c != 0:
+            w = [f.sub(y, f.mul(c, x)) for y, x in zip(w, row)]
+    return tuple(w)
 
 
 def null_space_gauss_jordan(f, n: int, rows) -> tuple:
@@ -169,7 +188,7 @@ def upper_central_series_by_quotients(L):
         zq = quot.center()
         # preimage: v with proj(v) in Z(Q), i.e. residual of proj(v) mod
         # Z(Q) vanishes
-        cols = [zq.reduce(proj.column(k)) for k in range(L.dim)]
+        cols = [reduce_dense(zq, proj.column(k)) for k in range(L.dim)]
         nxt = kernel(L.field, L.dim, zip(*cols)) if quot.dim \
             else L.full_space()
         if nxt.dim == zi.dim:
@@ -187,11 +206,11 @@ def quotient_projection_by_reduction(L, ideal) -> tuple:
         srow = {i: c for i, c in enumerate(row) if c != 0}
         for j in range(L.dim):
             img = L.bracket_sparse(srow, {j: L.field.one})
-            if img and not ideal.contains(L._densify(img)):
+            if img and any(reduce_dense(ideal, L._densify(img))):
                 raise NotIdealError(
                     f"subspace is not an ideal (fails at basis {j})")
     keep = [k for k in range(L.dim) if k not in set(ideal.pivots)]
-    cols = [ideal.reduce(L.basis_vector(k)) for k in range(L.dim)]
+    cols = [reduce_dense(ideal, L.basis_vector(k)) for k in range(L.dim)]
     return tuple(tuple(cols[k][t] for k in range(L.dim)) for t in keep)
 
 
@@ -216,7 +235,7 @@ def quotient_table_by_kept_pairs(L, ideal) -> dict:
             sv = L.bracket_basis(keep[a], keep[b])
             if not sv:
                 continue
-            residual = ideal.reduce(L._densify(sv))
+            residual = reduce_dense(ideal, L._densify(sv))
             # residual is supported on non-pivot coordinates of the ideal
             entry = {pos[k]: c for k, c in enumerate(residual) if c != 0}
             if entry:
@@ -258,7 +277,7 @@ def coordinates(sub: Subspace, v: Sequence) -> tuple:
     """Coordinates of v in sub's canonical basis (v must lie in the span),
     its entries coerced into the field first."""
     v = [sub.field.coerce(x) for x in v]
-    if any(sub.reduce(v)):
+    if any(reduce_dense(sub, v)):
         raise ShapeError("vector not in subspace")
     return tuple(v[p] for p in sub.pivots)
 
@@ -521,7 +540,7 @@ def reduce_rows(sub: Subspace, rows: Sequence[Sequence]) -> list:
         return []
     f = sub.field
     if f.is_rationals or sub.is_zero:
-        return [list(sub.reduce(r)) for r in rows]
+        return [list(reduce_dense(sub, r)) for r in rows]
     p = f.p
     R = np.array([list(r) for r in rows], dtype=np.int64) % p
     B = np.array([list(b) for b in sub.basis], dtype=np.int64)

@@ -424,6 +424,8 @@ UNREFERENCED_ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
     "FieldSpec.random_scalar": "bench/workloads.py draws central lines with it",
     "LieAlgebra.bracket": "the public bracket of two dense elements",
+    "Subspace.basis": "the dense rows for callers outside the package: "
+                      "bench/workloads.py and the tests",
 }
 
 

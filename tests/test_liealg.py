@@ -1,6 +1,7 @@
 """Structure-constant Lie algebras: brackets, series, quotients, products."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -207,6 +208,17 @@ def test_basis_vector_rejects_an_index_out_of_range():
         for pair in ((bad, 2), (2, bad)):
             with pytest.raises(ShapeError, match=message):
                 central_product(H, H, [pair])
+
+
+def test_basis_vector_rejects_an_index_that_is_not_an_int():
+    # a bool or a float used to stand for 1, a string or None to raise a
+    # raw TypeError; a numpy integer is an int
+    H = build("H", QQ, m=1)
+    assert H.basis_vector(np.int64(2)) == (0, 0, 1)
+    for bad in (True, 1.0, "1", None):
+        message = re.escape(f"basis index {bad!r} is not an int")
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            H.basis_vector(bad)
 
 
 def test_bracket_is_alternating():

@@ -14,7 +14,7 @@ from liecap import (
     GF2, GF3, GF5, QQ, FieldSpec, kernel, span,
 )
 from liecap import linalg
-from liecap.errors import ShapeError
+from liecap.errors import FieldError, ShapeError
 from liecap.linalg import (
     coordinate_subspace,
     full_subspace,
@@ -32,6 +32,7 @@ from oracles import (
     extend_to_complement_greedy,
     gauss_jordan,
     null_space_gauss_jordan,
+    reduce_dense,
     reduce_rows,
     solve_right_inverse,
     subspace_sum,
@@ -494,11 +495,18 @@ def test_extend_to_complement_reduces_at_most_twice(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_reduce_is_zero_exactly_on_members():
+    # the residual is the dense loop's, and it is zero exactly when v adds
+    # nothing to the rank of the canonical rows
     rng = random.Random(41)
-    s = _random_subspace(GF3, 4, rng)
-    for v in itertools.product(range(3), repeat=4):
-        red = s.reduce(v)
-        assert (all(c == 0 for c in red)) == s.contains(v)
+    for f in (QQ, GF2, GF5):
+        s = _random_subspace(f, 4, rng)
+        values = range(-1, 3) if f.is_rationals else range(f.p)
+        for v in itertools.product(values, repeat=4):
+            v = [f.coerce(x) for x in v]
+            red = s.reduce(v)
+            assert red == reduce_dense(s, v)
+            rank = len(gauss_jordan(f, [list(r) for r in s.basis] + [v])[1])
+            assert (not any(red)) == (rank == s.dim) == s.contains(v)
 
 
 def test_reduce_rows_matches_single_reduce():
@@ -506,8 +514,27 @@ def test_reduce_rows_matches_single_reduce():
     for f in (QQ, GF2, GF5):
         s = _random_subspace(f, 5, rng)
         rows = [[f.random_scalar(rng) for _ in range(5)] for _ in range(8)]
-        batch = reduce_rows(s, rows)
-        assert [tuple(r) for r in batch] == [s.reduce(r) for r in rows]
+        batch = [tuple(r) for r in reduce_rows(s, rows)]
+        assert batch == [reduce_dense(s, r) for r in rows]
+        assert batch == [s.reduce(r) for r in rows]
+
+
+def test_reduce_coerces_its_entries():
+    s = span(QQ, 3, [[1, 2, 3]])
+    red = s.reduce([Fraction(3, 2), "1", 0])
+    assert red == (0, Fraction(-2), Fraction(-9, 2))
+    assert all(type(x) is Fraction for x in red)
+    assert span(GF5, 3, [[1, 2, 3]]).reduce([6, 0, -1]) == (0, 3, 1)
+    for bad in ([1.5, 0, 0], [1, 2, "x"]):
+        with pytest.raises(FieldError):
+            s.reduce(bad)
+        with pytest.raises(FieldError):
+            s.contains(bad)
+    for bad in (5, None):
+        with pytest.raises(ShapeError, match="is not a sequence$"):
+            s.reduce(bad)
+        with pytest.raises(ShapeError, match="is not a sequence$"):
+            s.contains(bad)
 
 
 def test_coordinate_subspace_shape():
@@ -561,7 +588,8 @@ def test_contains_subspace_matches_the_dense_rank(case, data):
         stacked = [list(r) for r in big.basis + small.basis]
         want = len(gauss_jordan(f, stacked)[1]) == big.dim
         assert big.contains_subspace(small) is want
-        assert want == (not any(any(big.reduce(r)) for r in small.basis))
+        assert want == (not any(any(reduce_dense(big, r))
+                                for r in small.basis))
     assert a.contains_subspace(part)
 
 

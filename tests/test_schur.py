@@ -60,6 +60,9 @@ from liecap.errors import (
 )
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
+    VerificationReport,
+    _check_central_ideal_bound,
+    _check_quotient_witnesses,
     _push,
     capability_structural,
     class3_stem_products,
@@ -427,30 +430,46 @@ def test_library_built_rows_are_canonical(monkeypatch):
 
 
 def test_subspaces_of_l_need_no_dense_gf_reduction(monkeypatch):
-    # numpy's _rref_gf is left only behind rref_rows, for dense rows from
-    # span() and subspace_intersect.  The invariants below build their
-    # rows sparse, so they must answer with it gone; the algebras and the
-    # ideal are built first, since span still reaches it
+    # rref_rows, and numpy's _rref_gf behind it, are left only behind
+    # span(), for rows from outside.  The invariants below, the quotient,
+    # the intersection and two verify-paper sections build their rows
+    # sparse, so they must answer on every field with both gone; the
+    # algebras and the ideal are built first, since span still reaches them
     cases = []
-    for f in (GF2, GF3):
+    for f in (QQ, GF2, GF3):
         for L in (build("L5_5", f), free_nilpotent(2, 3, f).algebra):
             I = span(f, L.dim, [L.center().basis[0]])
             cases.append((LieAlgebra(f, L.dim, L.table, name=L.name), I,
                           invariants(L, I)))
     assert build("L5_5", GF2).degrees() is None  # ungraded
+    reports = {f: verification_sections(f) for f in (QQ, GF2, GF3)}
 
     def forbidden(*args):
-        pytest.fail("_rref_gf reduced a subspace built sparse")
+        pytest.fail("rref_rows reduced rows the library built sparse")
 
-    monkeypatch.setattr(linalg, "_rref_gf", forbidden)
+    for name in ("rref_rows", "_rref_gf"):
+        monkeypatch.setattr(linalg, name, forbidden)
     for copy, I, want in cases:
         assert invariants(copy, I) == want, copy.name
+    for f, want in reports.items():
+        got = verification_sections(f)
+        assert got.all_passed and got.to_json() == want.to_json(), f
 
 
 def invariants(L, I):
     return (homology(L), L.center(), L.upper_central_series(),
             L.derived_subalgebra(), L.lower_central_series(),
-            epicenter_test_dd(L, I))
+            epicenter_test_dd(L, I), L.quotient(I).table,
+            subspace_intersect(L.derived_subalgebra(), I))
+
+
+def verification_sections(f):
+    """The central-ideal bound and quotient-witness sections of
+    verify-paper over f, on algebras built fresh."""
+    report = VerificationReport([str(f)], 0)
+    _check_central_ideal_bound(report, f, 0)
+    _check_quotient_witnesses(report, f)
+    return report
 
 
 # ----------------------------------------------------------------------

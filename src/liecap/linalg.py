@@ -33,7 +33,6 @@ through it, and nothing reduces a dense row.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -107,7 +106,12 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     column to the stored rows that may be nonzero there (kept by adding a
     row wherever a combination makes it nonzero, so cancelled entries may
     linger), not by a scan of every stored row: rows of a block-diagonal
-    input, like the wedge relations of each degree, never meet.
+    input, like the wedge relations of each degree, never meet.  The index
+    is a plain dict of sets, each made when its column is first held.
+    When a column becomes a pivot its set is popped, the new row's own
+    pivot discarded from it, and no row is nonzero there again, so the
+    entry is not rebuilt.  While no row is stored, the scan for taken
+    pivots in a new row is skipped.  The input rows are not modified.
 
     Over GF(p) the rows are ints mod p, kept 1 at their pivots, so a
     combination subtracts a multiple of one row from another in place,
@@ -119,13 +123,13 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     p = field.p  # 0 over Q
     echelon: dict = {}
     # column -> the pivots of the stored rows that may be nonzero there
-    holders: defaultdict = defaultdict(set)
+    holders: dict = {}
     for row in rows:
         if p:
             row = dict(row)
             # a stored row is 1 at its pivot c, so subtracting x = row[c]
             # times it clears c: the difference there is 0 and is dropped
-            for c in [c for c in row if c in echelon]:
+            for c in [c for c in row if c in echelon] if echelon else ():
                 x = row[c]
                 for k, y in echelon[c].items():
                     if k not in row:
@@ -139,7 +143,7 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                         del row[k]
         else:
             row = _primitive_integers(row)
-            for c in [c for c in row if c in echelon]:
+            for c in [c for c in row if c in echelon] if echelon else ():
                 other = echelon[c]
                 _combine(row, other[c], row[c], other)
         if not row:
@@ -151,8 +155,14 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
             row = {c: y * inv % p for c, y in row.items()}
             x = 1
         for c in row:
-            holders[c].add(piv)
-        for q in holders.pop(piv) - {piv}:
+            held = holders.get(c)
+            if held is None:
+                holders[c] = {piv}
+            else:
+                held.add(piv)
+        hits = holders.pop(piv)
+        hits.discard(piv)
+        for q in hits:
             other = echelon[q]
             y = other.get(piv)
             if y is None:
@@ -161,7 +171,11 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                 for k, z in row.items():
                     if k not in other:
                         other[k] = -y * z % p
-                        holders[k].add(q)
+                        held = holders.get(k)
+                        if held is None:
+                            holders[k] = {q}
+                        else:
+                            held.add(q)
                         continue
                     v = (other[k] - y * z) % p
                     if v:
@@ -170,7 +184,11 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                         del other[k]
             else:
                 for c in _combine(other, x, y, row):
-                    holders[c].add(q)
+                    held = holders.get(c)
+                    if held is None:
+                        holders[c] = {q}
+                    else:
+                        held.add(q)
         echelon[piv] = row
     if not p:
         echelon = {c: {k: Fraction(y, row[c]) for k, y in row.items()}
@@ -324,12 +342,13 @@ def _is_int(x) -> bool:
 
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
     """Outside rows, coerced into `field` and checked to be sequences of n
-    entries, n an int >= 0."""
+    entries, n an int >= 0.  A str or bytes row is refused, not read as a
+    sequence of one-character scalars."""
     if not _is_int(n) or n < 0:
         raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
     out = []
     for row in rows:
-        if not isinstance(row, Iterable):
+        if not isinstance(row, Iterable) or isinstance(row, (str, bytes)):
             raise ShapeError(f"row {row!r} is not a sequence")
         out.append(tuple(map(field.coerce, row)))
         if len(out[-1]) != n:

@@ -27,7 +27,7 @@ the rank of those rows.
 
 J is kept sparse from end to end.  A row d3(e_i ^ e_j ^ e_k) has at most
 three brackets' worth of nonzeros, so it is built as a {column: scalar}
-dict over the pairs, numbered once in lexicographic order, and all rows
+dict over the pairs, numbered in lexicographic order, and all rows
 go into one linalg._echelon_sparse call, whose canonical rows are stored
 sparse as {pivot: row}; the rank is the number of pivots.  Rows of
 different degrees share no column, and the echelon's column index never
@@ -90,12 +90,23 @@ residuals of v ^ x_l mod J over the generators x_l and the rows v of I:
 the rows sum_t v_t res[l][t] of the same table, one small sparse
 reduction.
 
+Pair layout.  The numbering of the pairs depends on the degree vector
+alone (all zeros when ungraded), not on the table or the field, so
+_layout keeps it in a bounded lru_cache keyed by that tuple: the cut,
+the number of columns, pcol[m][s] = the column of {s, m}, and the
+indices in degree order.  A sweep of algebras with one degree vector, as
+the dim-7 class-2 samples all have (1,1,1,1,1,2,2), numbers the pairs
+once; d3 and the residual table read columns through pcol and hash no
+pair.
+
 Size guard: the columns reduced, the pairs of degree <= c+1 (all C(n,2)
 when ungraded), may number at most DEFAULT_MAX_DIM: F(7,3) needs 1162,
-H(34) 2346.  They are counted from the degrees' histogram, before any pair
-is listed.  The degrees come first: a standard-graded basis has class
-max deg, and only an ungraded one is checked for nilpotency.  The zero
-algebra takes the same path, with no pairs and no generators.
+H(34) 2346.  They are counted from the degrees' histogram inside
+_layout, before any pair is listed; lru_cache keeps no exception, so a
+degree vector past the guard raises on every call.  The degrees come
+first: a standard-graded basis has class max deg, and only an ungraded
+one is checked for nilpotency.  The zero algebra takes the same path,
+with no pairs and no generators.
 """
 
 from __future__ import annotations
@@ -103,6 +114,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
@@ -152,6 +164,39 @@ class _Wedge(NamedTuple):
     residuals: list
 
 
+@lru_cache(maxsize=32)
+def _layout(deg: tuple) -> tuple:
+    """The pair columns of a degree vector, all zeros when ungraded:
+    (cut, ncols, pcol, order, sorted_deg).  cut = max deg + 1, ncols the
+    number of pairs of degree <= cut, pcol[m][s] the column of {s, m} in
+    the lexicographic numbering of those pairs, and order the indices
+    sorted by degree, whose degrees sorted_deg bisects.  pcol[m] is a dict
+    holding only the pairs within the cut, so a layout takes 2 * ncols
+    entries, not n^2.  Every algebra with this degree vector shares the
+    result, which is read and never written.  The size guard runs before
+    any pair is listed; lru_cache keeps no exception, so it raises on
+    every call."""
+    n = len(deg)
+    cut = max(deg, default=0) + 1
+    count = Counter(deg)
+    ncols = sum(count[a] * count[b] for a in count for b in count
+                if a < b and a + b <= cut)
+    ncols += sum(m * (m - 1) // 2 for a, m in count.items() if 2 * a <= cut)
+    if ncols > DEFAULT_MAX_DIM:
+        raise ResourceError(
+            f"the wedge route would reduce {ncols} columns of "
+            f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
+    pcol = [{} for _ in range(n)]
+    c = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if deg[i] + deg[j] <= cut:
+                pcol[i][j] = pcol[j][i] = c
+                c += 1
+    order = tuple(sorted(range(n), key=deg.__getitem__))
+    return cut, ncols, pcol, order, tuple(deg[m] for m in order)
+
+
 def _wedge(L: LieAlgebra) -> _Wedge:
     """J = im d3 in total degree <= c+1, reduced in one sparse echelon
     and cached on L as a _Wedge, without J's rows.  The class c is max deg
@@ -167,26 +212,13 @@ def _wedge(L: LieAlgebra) -> _Wedge:
         if not L.is_nilpotent:
             raise NotNilpotentError("homology requires a nilpotent algebra")
         deg = (0,) * n
-    cut = max(deg, default=0) + 1
-    count = Counter(deg)
-    ncols = sum(count[a] * count[b] for a in count for b in count
-                if a < b and a + b <= cut)
-    ncols += sum(m * (m - 1) // 2 for a, m in count.items() if 2 * a <= cut)
-    if ncols > DEFAULT_MAX_DIM:
-        raise ResourceError(
-            f"the wedge route would reduce {ncols} columns of "
-            f"Lambda^2 L, more than the guard {DEFAULT_MAX_DIM}")
-    col = {pair: c for c, pair in enumerate(
-        (i, j) for i in range(n) for j in range(i + 1, n)
-        if deg[i] + deg[j] <= cut)}
+    cut, ncols, pcol, order, sorted_deg = _layout(deg)
     # d3(e_i ^ e_j ^ e_k) = [e_i,e_j] ^ e_k + [e_j,e_k] ^ e_i - [e_i,e_k] ^ e_j
     # for i < j < k: a table entry (a, b), a < b, adds its term to the row
     # of each triple it meets within the cut, negated when the third index
     # m lies between a and b, and e_s ^ e_m = -(e_m ^ e_s).  Index order
     # need not follow degree.  The entries are summed as they are and
     # reduced once.
-    order = sorted(range(n), key=deg.__getitem__)
-    sorted_deg = [deg[m] for m in order]
     zero = f.zero
     sums: dict = {}
     for (a, b), br in L.table.items():
@@ -197,9 +229,10 @@ def _wedge(L: LieAlgebra) -> _Wedge:
             row = sums.setdefault((m, a, b) if m < a else (a, m, b) if m < b
                                   else (a, b, m), {})
             flip = a < m < b
+            at = pcol[m]
             for s, x in br.items():
                 if s != m:
-                    c = col[s, m] if s < m else col[m, s]
+                    c = at[s]
                     row[c] = row.get(c, zero) + (-x if (s > m) != flip
                                                  else x)
     p = f.p  # 0 over Q
@@ -207,7 +240,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
             else {c: x for c, x in row.items() if x}
             for row in map(sums.get, sorted(sums))]
     echelon = _echelon_sparse(f, rows)
-    free = {c: i for i, c in enumerate(c for c in col.values()
+    free = {c: i for i, c in enumerate(c for c in range(ncols)
                                        if c not in echelon)}
     minus_one = f.neg(f.one)
     derived = set(L.derived_subalgebra().pivots)
@@ -217,12 +250,13 @@ def _wedge(L: LieAlgebra) -> _Wedge:
         if l in derived:
             continue
         per_l = {}
+        at = pcol[l]
         for t in range(n):
             if t == l:
                 continue
             # e_t ^ e_l = -(e_l ^ e_t); a pivot pair's residual is minus
             # its canonical row, the pivot entry dropped
-            q = col[(t, l) if t < l else (l, t)]
+            q = at[t]
             row = echelon.get(q)
             if row is None:
                 per_l[t] = ((free[q], f.one if t < l else minus_one),)
@@ -232,7 +266,7 @@ def _wedge(L: LieAlgebra) -> _Wedge:
                 if res:
                     per_l[t] = res
         residuals.append(per_l)
-    cached = _Wedge(len(col), len(free), residuals)
+    cached = _Wedge(ncols, len(free), residuals)
     L._cache["wedge"] = cached
     return cached
 

@@ -182,6 +182,28 @@ def test_numpy_integer_dimension_and_indices_accepted():
     assert homology(L) == homology(M)
 
 
+@pytest.mark.parametrize("f", [QQ, GF3], ids=str)
+def test_dict_entry_and_its_pairs_give_one_table(f):
+    # a dict entry is stored value by value, since its keys are distinct;
+    # (index, value) pairs are summed.  Values that are 0 in f are dropped
+    entries = {(0, 1): {2: Fraction(1, 2), 3: -4, np.int64(4): "5/7", 5: 3},
+               (1, 2): {5: 6, 6: 0}, (2, 3): {}}
+    by_dict = LieAlgebra(f, 7, entries)
+    by_pairs = LieAlgebra(f, 7, {pair: list(out.items())
+                                 for pair, out in entries.items()})
+    assert by_dict.table == by_pairs.table == {
+        pair: {int(k): f.coerce(c) for k, c in out.items() if f.coerce(c)}
+        for pair, out in entries.items()
+        if any(map(f.coerce, out.values()))}
+    assert all(type(k) is int for out in by_dict.table.values() for k in out)
+    if f is GF3:
+        assert by_dict.table == {(0, 1): {2: 2, 3: 2, 4: 2}}
+    for bad in (True, 1.0, -1):
+        for out in ({bad: 1}, [(bad, 1)]):
+            with pytest.raises(ShapeError, match="bracket target"):
+                LieAlgebra(f, 7, {(0, 1): out})
+
+
 def test_size_guard_rejects_dimension_past_the_guard():
     assert LieAlgebra(QQ, DEFAULT_MAX_DIM).dim == DEFAULT_MAX_DIM
     with pytest.raises(ResourceError, match="dimension 2001 is past"):
@@ -543,7 +565,8 @@ def test_central_product_reads_a_numpy_index_and_refuses_a_bool():
     for pair in ((True, 2), (2, False)):
         with pytest.raises(ShapeError, match="is a bool, not an index"):
             central_product(H1, H1, [pair])
-    for pair in ((2.0, 2), (None, 2)):
+    # a string is neither: '2' used to be read as the vector (2,)
+    for pair in ((2.0, 2), (None, 2), ("2", 2), (2, "222"), (b"2", 2)):
         with pytest.raises(ShapeError, match="neither index nor vector"):
             central_product(H1, H1, [pair])
 

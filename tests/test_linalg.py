@@ -537,6 +537,18 @@ def test_reduce_coerces_its_entries():
             s.contains(bad)
 
 
+@pytest.mark.parametrize("bad", ["123", "246", b"123"], ids=repr)
+def test_a_str_or_bytes_row_is_refused(bad):
+    # a string used to be read as a row of one-character scalars:
+    # span(QQ, 3, ['123']) was the line through (1, 2, 3), and
+    # span(QQ, 3, [[1, 2, 3]]).contains('246') was True
+    line = span(QQ, 3, [[1, 2, 3]])
+    for call in (lambda: span(QQ, 3, [bad]), lambda: kernel(GF3, 3, [bad]),
+                 lambda: line.reduce(bad), lambda: line.contains(bad)):
+        with pytest.raises(ShapeError, match="is not a sequence$"):
+            call()
+
+
 def test_coordinate_subspace_shape():
     s = coordinate_subspace(QQ, 4, [1, 3])
     assert s.basis == ((0, 1, 0, 0), (0, 0, 0, 1))

@@ -47,6 +47,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb
+from random import Random
 from hypothesis import example, given, settings, strategies as st
 
 from liecap import GF2, GF3, GF5, QQ, span
@@ -604,6 +605,53 @@ def test_wedge_guard_raises_before_listing_the_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def _class2_on_five_generators(f, seed):
+    """A class-2 algebra on e_0..e_4 with [e_i, e_j] in span(e_5, e_6)
+    drawn at random, until L^2 = span(e_5, e_6): degrees (1,1,1,1,1,2,2)
+    over any field, Q included."""
+    rng = Random(seed)
+    while True:
+        table = {(i, j): {k: f.coerce(rng.randint(-2, 2)) for k in (5, 6)}
+                 for i in range(5) for j in range(i + 1, 5)
+                 if rng.random() < 0.6}
+        L = LieAlgebra(f, 7, table, name=f"C2({f},{seed})")
+        if L.derived_subalgebra().dim == 2:
+            return L
+
+
+def test_algebras_sharing_a_degree_vector_share_one_layout():
+    # one pair layout serves every algebra with degrees (1,1,1,1,1,2,2),
+    # whatever its table and field; each answer still matches the whole
+    # kernel and the presentation oracle
+    deg = (1, 1, 1, 1, 1, 2, 2)
+    cases = [_class2_on_five_generators(f, s)
+             for s in range(4) for f in (QQ, GF2, GF5)]
+    cases += [random_gen_heisenberg(7, 2, f, seed=s)
+              for s in range(3) for f in (GF2, GF5)]
+    assert {L.degrees() for L in cases} == {deg}
+    schur._layout(deg)
+    hits = schur._layout.cache_info().hits
+    for L in cases:
+        want = exterior_center_whole_kernel(L)
+        zc = exterior_center(L)
+        assert repr(zc.basis) == repr(want.basis), L.name
+        assert zc.pivots == want.pivots
+        wedge, presented = both_routes(L)
+        assert wedge == presented, L.name
+    assert schur._layout.cache_info().hits == hits + len(cases)
+
+
+def test_wedge_guard_raises_on_every_call_with_one_degree_vector():
+    # H(34) over Q and GF(3) share one degree vector past the guard;
+    # lru_cache keeps no exception, so the second call raises as well
+    algebras = [build("H", f, m=34) for f in (QQ, GF3, QQ)]
+    assert len({L.degrees() for L in algebras}) == 1
+    for L in algebras:
+        with pytest.raises(ResourceError, match="reduce 2346 columns"):
+            schur_multiplier_dim(L)
+        assert "wedge" not in L._cache
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,10 @@ with `exterior_center_whole_kernel`, the same kernel over all of L, on
 bases where L^2's canonical rows are nonzero off their pivots and on the
 algebras with at most one generator or L^2 = 0; a residual table that
 records its reads shows that no residual outside the support is read.
+Algebras that share one degree vector share one pair layout whatever
+their table and field, and each still matches the whole kernel and the
+presentation oracle; a degree vector past the size guard raises on every
+call, not only the first.
 """
 
 import pytest

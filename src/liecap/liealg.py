@@ -72,15 +72,8 @@ class LieAlgebra:
             if not (linalg._is_int(i) and linalg._is_int(j)
                     and 0 <= i < j < dim):
                 raise ShapeError(f"bad bracket pair ({i}, {j}) for dim {dim}")
-            entry: SparseVec = {}
             if isinstance(out, dict):
-                # a dict's keys are distinct, so no two values are summed
-                for k, c in out.items():
-                    if not (linalg._is_int(k) and 0 <= k < dim):
-                        raise ShapeError(f"bracket target {k} out of range")
-                    c = field.coerce(c)
-                    if c != 0:
-                        entry[int(k)] = c
+                items = out.items()
             else:
                 try:
                     items = [(k, c) for k, c in (
@@ -89,14 +82,23 @@ class LieAlgebra:
                     raise ShapeError(f"bracket ({i}, {j}) is {out!r}, not a "
                                      f"mapping or (index, value) "
                                      f"pairs") from None
-                for k, c in items:
-                    if not (linalg._is_int(k) and 0 <= k < dim):
-                        raise ShapeError(f"bracket target {k} out of range")
-                    k, c = int(k), field.coerce(c)
-                    if c != 0:
-                        entry[k] = field.add(entry.get(k, field.zero), c)
-                        if entry[k] == 0:
+            entry: SparseVec = {}
+            # a value is summed only onto an earlier one at the same target,
+            # which a dict's distinct keys never give
+            for k, c in items:
+                if not (linalg._is_int(k) and 0 <= k < dim):
+                    raise ShapeError(f"bracket target {k} out of range")
+                k, c = int(k), field.coerce(c)
+                if c != 0:
+                    prev = entry.get(k)
+                    if prev is None:
+                        entry[k] = c
+                    else:
+                        c = field.add(prev, c)
+                        if c == 0:
                             del entry[k]
+                        else:
+                            entry[k] = c
             if entry:
                 table[(int(i), int(j))] = entry
         self.table = table
@@ -447,7 +449,7 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
             raise ShapeError(f"gluing element {v!r} is a bool, not an index")
         if linalg._is_int(v):
             return alg.basis_vector(int(v))
-        if not isinstance(v, Iterable) or isinstance(v, (str, bytes)):
+        if not isinstance(v, Iterable) or isinstance(v, linalg._TEXT):
             raise ShapeError(f"gluing element {v!r}: neither index nor vector")
         return tuple(f.coerce(c) for c in v)
 

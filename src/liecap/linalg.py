@@ -33,6 +33,7 @@ through it, and nothing reduces a dense row.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -106,10 +107,9 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     column to the stored rows that may be nonzero there (kept by adding a
     row wherever a combination makes it nonzero, so cancelled entries may
     linger), not by a scan of every stored row: rows of a block-diagonal
-    input, like the wedge relations of each degree, never meet.  The index
-    is a plain dict of sets, each made when its column is first held.
-    When a column becomes a pivot its set is popped, the new row's own
-    pivot discarded from it, and no row is nonzero there again, so the
+    input, like the wedge relations of each degree, never meet.  When a
+    column becomes a pivot its set is popped and the new row's own pivot
+    discarded from it in place; no row is nonzero there again, so the
     entry is not rebuilt.  While no row is stored, the scan for taken
     pivots in a new row is skipped.  The input rows are not modified.
 
@@ -123,7 +123,7 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     p = field.p  # 0 over Q
     echelon: dict = {}
     # column -> the pivots of the stored rows that may be nonzero there
-    holders: dict = {}
+    holders: defaultdict = defaultdict(set)
     for row in rows:
         if p:
             row = dict(row)
@@ -155,11 +155,7 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
             row = {c: y * inv % p for c, y in row.items()}
             x = 1
         for c in row:
-            held = holders.get(c)
-            if held is None:
-                holders[c] = {piv}
-            else:
-                held.add(piv)
+            holders[c].add(piv)
         hits = holders.pop(piv)
         hits.discard(piv)
         for q in hits:
@@ -171,11 +167,7 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                 for k, z in row.items():
                     if k not in other:
                         other[k] = -y * z % p
-                        held = holders.get(k)
-                        if held is None:
-                            holders[k] = {q}
-                        else:
-                            held.add(q)
+                        holders[k].add(q)
                         continue
                     v = (other[k] - y * z) % p
                     if v:
@@ -184,11 +176,7 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                         del other[k]
             else:
                 for c in _combine(other, x, y, row):
-                    held = holders.get(c)
-                    if held is None:
-                        holders[c] = {q}
-                    else:
-                        held.add(q)
+                    holders[c].add(q)
         echelon[piv] = row
     if not p:
         echelon = {c: {k: Fraction(y, row[c]) for k, y in row.items()}
@@ -340,15 +328,19 @@ def _is_int(x) -> bool:
                               and not isinstance(x, bool))
 
 
+# text and raw bytes iterate as characters or small ints, never as a row
+_TEXT = (str, bytes, bytearray, memoryview)
+
+
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
     """Outside rows, coerced into `field` and checked to be sequences of n
-    entries, n an int >= 0.  A str or bytes row is refused, not read as a
-    sequence of one-character scalars."""
+    entries, n an int >= 0.  A str or bytes-like row is refused, not read
+    as a sequence of characters or byte values."""
     if not _is_int(n) or n < 0:
         raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
     out = []
     for row in rows:
-        if not isinstance(row, Iterable) or isinstance(row, (str, bytes)):
+        if not isinstance(row, Iterable) or isinstance(row, _TEXT):
             raise ShapeError(f"row {row!r} is not a sequence")
         out.append(tuple(map(field.coerce, row)))
         if len(out[-1]) != n:

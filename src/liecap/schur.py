@@ -93,8 +93,9 @@ reduction.
 Pair layout.  The numbering of the pairs depends on the degree vector
 alone (all zeros when ungraded), not on the table or the field, so
 _layout keeps it in a bounded lru_cache keyed by that tuple: the cut,
-the number of columns, pcol[m][s] = the column of {s, m}, and the
-indices in degree order.  A sweep of algebras with one degree vector, as
+the number of columns, pcol[m][s] = the column of {s, m} (read-only
+views, since every such algebra reads them), and the indices in degree
+order.  A sweep of algebras with one degree vector, as
 the dim-7 class-2 samples all have (1,1,1,1,1,2,2), numbers the pairs
 once; d3 and the residual table read columns through pcol and hash no
 pair.
@@ -115,6 +116,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NotIdealError, NotNilpotentError, ResourceError, ShapeError
@@ -170,12 +172,13 @@ def _layout(deg: tuple) -> tuple:
     (cut, ncols, pcol, order, sorted_deg).  cut = max deg + 1, ncols the
     number of pairs of degree <= cut, pcol[m][s] the column of {s, m} in
     the lexicographic numbering of those pairs, and order the indices
-    sorted by degree, whose degrees sorted_deg bisects.  pcol[m] is a dict
-    holding only the pairs within the cut, so a layout takes 2 * ncols
-    entries, not n^2.  Every algebra with this degree vector shares the
-    result, which is read and never written.  The size guard runs before
-    any pair is listed; lru_cache keeps no exception, so it raises on
-    every call."""
+    sorted by degree, whose degrees sorted_deg bisects.  pcol[m] maps only
+    the pairs within the cut, so a layout takes 2 * ncols entries, not
+    n^2.  Every algebra with this degree vector shares the result, so it
+    is immutable: pcol is a tuple of read-only mapping views, and a write
+    raises rather than changing the columns of a later algebra.  The size
+    guard runs before any pair is listed; lru_cache keeps no exception, so
+    it raises on every call."""
     n = len(deg)
     cut = max(deg, default=0) + 1
     count = Counter(deg)
@@ -194,7 +197,8 @@ def _layout(deg: tuple) -> tuple:
                 pcol[i][j] = pcol[j][i] = c
                 c += 1
     order = tuple(sorted(range(n), key=deg.__getitem__))
-    return cut, ncols, pcol, order, tuple(deg[m] for m in order)
+    return (cut, ncols, tuple(map(MappingProxyType, pcol)), order,
+            tuple(deg[m] for m in order))
 
 
 def _wedge(L: LieAlgebra) -> _Wedge:

@@ -566,7 +566,8 @@ def test_central_product_reads_a_numpy_index_and_refuses_a_bool():
         with pytest.raises(ShapeError, match="is a bool, not an index"):
             central_product(H1, H1, [pair])
     # a string is neither: '2' used to be read as the vector (2,)
-    for pair in ((2.0, 2), (None, 2), ("2", 2), (2, "222"), (b"2", 2)):
+    for pair in ((2.0, 2), (None, 2), ("2", 2), (2, "222"), (b"2", 2),
+                 (bytearray(b"2"), 2), (2, memoryview(b"2"))):
         with pytest.raises(ShapeError, match="neither index nor vector"):
             central_product(H1, H1, [pair])
 

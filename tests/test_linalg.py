@@ -537,7 +537,8 @@ def test_reduce_coerces_its_entries():
             s.contains(bad)
 
 
-@pytest.mark.parametrize("bad", ["123", "246", b"123"], ids=repr)
+@pytest.mark.parametrize("bad", ["123", "246", b"123", bytearray(b"123"),
+                                 memoryview(b"123")], ids=repr)
 def test_a_str_or_bytes_row_is_refused(bad):
     # a string used to be read as a row of one-character scalars:
     # span(QQ, 3, ['123']) was the line through (1, 2, 3), and

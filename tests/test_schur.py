@@ -647,6 +647,23 @@ def test_algebras_sharing_a_degree_vector_share_one_layout():
     assert schur._layout.cache_info().hits == hits + len(cases)
 
 
+def test_the_shared_layout_refuses_a_write():
+    # every algebra with these degrees reads the same cached columns, so a
+    # write to them would change the wedge of each later one
+    deg = (1, 1, 1, 1, 1, 2, 2)
+    before = schur._layout(deg)
+    pcol = before[2]
+    with pytest.raises(TypeError):
+        pcol[0][1] = 99
+    with pytest.raises(TypeError):
+        pcol[0] = {}
+    snapshot = [dict(at) for at in pcol]
+    for s in range(3):
+        schur._wedge(random_gen_heisenberg(7, 2, GF3, seed=s))
+    assert schur._layout(deg) is before
+    assert [dict(at) for at in pcol] == snapshot
+
+
 def test_wedge_guard_raises_on_every_call_with_one_degree_vector():
     # H(34) over Q and GF(3) share one degree vector past the guard;
     # lru_cache keeps no exception, so the second call raises as well

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from .errors import FieldError, ResourceError, ScopeError, ShapeError
 from .field import FieldSpec, Scalar
 from .liealg import LieAlgebra
+from .linalg import _echelon_sparse
 
 MAX_SAMPLER_TRIES = 1000
 
@@ -157,10 +159,15 @@ def random_gen_heisenberg(dim: int, rank: int, field: FieldSpec,
     """Seeded sample with derived subalgebra = center = the last `rank`
     coordinates, obtained by accept/reject over random central brackets.
 
-    An accepted sample needs no further check.  Each entry sends a pair
-    i < j < g into the indices >= g, which are in no pair: every Jacobi
-    term brackets a central vector.  L^2 <= span(e_g, ...) <= Z(L), so
-    equal dimensions make them equal.
+    Each draw (_draws) sends every pair i < j < g of the g = dim - rank
+    generators into W, the span of the indices >= g, which are in no
+    pair: W is central and every Jacobi term brackets a central vector.
+    So the center is W plus the kernel of ad on span(e_0, ..., e_{g-1}),
+    and dim Z(L) = dim - rank(ad).  A draw is accepted when the
+    generators' ad rows have rank g (_ad_rank, one echelon of g short
+    rows), so Z(L) = W, and when dim L^2 = rank; then L^2 <= W = Z(L) and
+    equal dimensions make them equal.  An accepted sample needs no
+    further check.
 
     Current scope is dim 7, rank 2, finite fields.
     """
@@ -168,24 +175,45 @@ def random_gen_heisenberg(dim: int, rank: int, field: FieldSpec,
         raise ScopeError("sampler currently supports dim=7, rank=2 only")
     if field.is_rationals:
         raise ScopeError("sampler requires a finite field")
+    g = dim - rank  # non-central generators
+    for table in islice(_draws(field, dim, g, seed), MAX_SAMPLER_TRIES):
+        if _ad_rank(field, dim, g, table) != g:
+            continue
+        L = LieAlgebra(field, dim, table,
+                       name=f"genH(dim={dim},rank={rank},seed={seed})")
+        if L.derived_subalgebra().dim != rank:
+            continue
+        return L
+    raise ResourceError(
+        f"sampler rejected {MAX_SAMPLER_TRIES} candidates "
+        f"(dim={dim}, rank={rank}, seed={seed})")
+
+
+def _draws(field: FieldSpec, dim: int, g: int, seed: int):
+    """The sampler's candidate tables, endlessly: each pair i < j < g in
+    turn gets a random coefficient in GF(p) at each index >= g, and the
+    entry is kept when one is nonzero."""
     rng = random.Random(seed)
     p = field.p
-    g = dim - rank  # non-central generators
-    central = list(range(g, dim))
-    for attempt in range(MAX_SAMPLER_TRIES):
+    central = range(g, dim)
+    while True:
         table = {}
         for i in range(g):
             for j in range(i + 1, g):
                 entry = {k: c for k in central if (c := rng.randrange(p))}
                 if entry:
                     table[(i, j)] = entry
-        L = LieAlgebra(field, dim, table,
-                       name=f"genH(dim={dim},rank={rank},seed={seed})")
-        if L.derived_subalgebra().dim != rank:
-            continue
-        if L.center().dim != rank:
-            continue
-        return L
-    raise ResourceError(
-        f"sampler rejected {MAX_SAMPLER_TRIES} candidates "
-        f"(dim={dim}, rank={rank}, seed={seed})")
+        yield table
+
+
+def _ad_rank(field: FieldSpec, dim: int, g: int, table: dict) -> int:
+    """The rank of ad on span(e_0, ..., e_{g-1}) for a drawn table: the
+    row of e_i holds [e_i, e_j]_k at column j * dim + k, read off the
+    entry (i, j) and, negated, off (j, i)."""
+    p = field.p
+    rows = [{} for _ in range(g)]
+    for (i, j), entry in table.items():
+        for k, c in entry.items():
+            rows[i][j * dim + k] = c
+            rows[j][i * dim + k] = -c % p
+    return len(_echelon_sparse(field, g * dim, rows))

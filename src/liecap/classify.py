@@ -206,7 +206,7 @@ def _pencil_rank(L: LieAlgebra) -> int:
             if c is not None:
                 rows.setdefault((eq, j), {})[off + i] = c
                 rows.setdefault((eq, i), {})[off + j] = f.neg(c)
-    return len(_echelon_sparse(f, rows.values()))
+    return len(_echelon_sparse(f, 2 * n, rows.values()))
 
 
 # ======================================================================

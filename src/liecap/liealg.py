@@ -449,7 +449,7 @@ def central_product(a: LieAlgebra, b: LieAlgebra,
             raise ShapeError(f"gluing element {v!r} is a bool, not an index")
         if linalg._is_int(v):
             return alg.basis_vector(int(v))
-        if not isinstance(v, Iterable) or isinstance(v, linalg._TEXT):
+        if not isinstance(v, Iterable) or isinstance(v, linalg._NOT_A_ROW):
             raise ShapeError(f"gluing element {v!r}: neither index nor vector")
         return tuple(f.coerce(c) for c in v)
 

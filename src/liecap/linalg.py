@@ -8,16 +8,17 @@ equality of the stored rows.
 Two elimination routines remain:
 
 * _echelon_sparse reduces rows held as {column: scalar} dicts, one row at
-  a time, and returns the canonical rows stored sparse.  Over Q it works
-  fraction-free on primitive integer rows, and Fractions appear only in
-  the returned rows; over GF(p) the rows are ints mod p, each 1 at its
-  pivot, and are combined in place with no helper call, since most of
-  the rows it sees are a few entries long.  It reduces every row the
-  library builds itself, on every field: the wedge relations of schur,
-  the subspaces of L that _span_canonical and _kernel_canonical take as
-  dicts (L^2, [A, B], the centers and Z^(L)), whose canonical rows the
-  returned Subspace keeps sparse, and the Zassenhaus rows of
-  subspace_intersect.  Over Q it reduces the dense rows of rref_rows too;
+  a time, and returns the canonical rows stored sparse; it stops reading
+  rows once every column is a pivot.  Over Q it works fraction-free on
+  primitive integer rows, and Fractions appear only in the returned rows;
+  over GF(p) the rows are ints mod p, each 1 at its pivot, and are
+  combined in place with no helper call, since most of the rows it sees
+  are a few entries long.  It reduces every row the library builds itself,
+  on every field: the wedge relations of schur, the subspaces of L that
+  _span_canonical and _kernel_canonical take as dicts (L^2, [A, B], the
+  centers and Z^(L)), whose canonical rows the returned Subspace keeps
+  sparse, and the Zassenhaus rows of subspace_intersect.  Over Q it
+  reduces the dense rows of rref_rows too;
 * _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
   column eliminations vectorized.  Only rref_rows reaches it, and only
   span() calls rref_rows, for rows from outside the library (central
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from numbers import Integral
@@ -87,17 +88,25 @@ def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[in
         return [], []
     if not field.is_rationals:
         return _rref_gf(rows, field.p)
-    echelon = _echelon_sparse(field, map(dict, _pairs(rows)))
-    pivots = sorted(echelon)
     zero, n = field.zero, len(rows[0])
+    echelon = _echelon_sparse(field, n, map(dict, _pairs(rows)))
+    pivots = sorted(echelon)
     return [[echelon[p].get(c, zero) for c in range(n)]
             for p in pivots], pivots
 
 
-def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
-    """Canonical RREF of sparse rows, each a {column: nonzero scalar} dict
-    with scalars canonical in `field`: {pivot: row}, each row 1 at its
-    pivot and absent (0) at every other pivot.
+def _echelon_sparse(field: FieldSpec, ncols: int,
+                    rows: Iterable[dict]) -> dict:
+    """Canonical RREF of sparse rows over the columns range(ncols), each a
+    {column: nonzero scalar} dict with scalars canonical in `field`:
+    {pivot: row}, each row 1 at its pivot and absent (0) at every other
+    pivot.
+
+    It returns as soon as every one of the ncols columns holds a pivot,
+    without reading the rest of `rows`: the RREF is then the identity, and
+    no later row can change it.  So a full-rank system, as the exterior
+    center of a capable algebra gives, is reduced only up to the row that
+    completes the rank.
 
     Rows are inserted one at a time.  A new row is cleared at the pivots
     already taken, with one combination each: a stored row is 0 at every
@@ -112,6 +121,12 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
     discarded from it in place; no row is nonzero there again, so the
     entry is not rebuilt.  While no row is stored, the scan for taken
     pivots in a new row is skipped.  The input rows are not modified.
+
+    The order of insertion sets the cost of that back-clearing, not the
+    result.  A new pivot left of every stored row's pivot is 0 in all of
+    them, since a stored row is 0 left of its own pivot, and nothing is
+    cleared; rows that come in decreasing order of their first column
+    mostly do so.
 
     Over GF(p) the rows are ints mod p, kept 1 at their pivots, so a
     combination subtracts a multiple of one row from another in place,
@@ -178,6 +193,8 @@ def _echelon_sparse(field: FieldSpec, rows: Iterable[dict]) -> dict:
                 for c in _combine(other, x, y, row):
                     holders[c].add(q)
         echelon[piv] = row
+        if len(echelon) == ncols:
+            break
     if not p:
         echelon = {c: {k: Fraction(y, row[c]) for k, y in row.items()}
                    for c, row in echelon.items()}
@@ -328,19 +345,21 @@ def _is_int(x) -> bool:
                               and not isinstance(x, bool))
 
 
-# text and raw bytes iterate as characters or small ints, never as a row
-_TEXT = (str, bytes, bytearray, memoryview)
+# text and raw bytes iterate as characters or small ints, and a mapping or
+# a set as its keys in iteration order: none of them is read as a row
+_NOT_A_ROW = (str, bytes, bytearray, memoryview, Mapping, Set)
 
 
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
     """Outside rows, coerced into `field` and checked to be sequences of n
     entries, n an int >= 0.  A str or bytes-like row is refused, not read
-    as a sequence of characters or byte values."""
+    as a sequence of characters or byte values, and so is a mapping or a
+    set, not read as its keys."""
     if not _is_int(n) or n < 0:
         raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
     out = []
     for row in rows:
-        if not isinstance(row, Iterable) or isinstance(row, _TEXT):
+        if not isinstance(row, Iterable) or isinstance(row, _NOT_A_ROW):
             raise ShapeError(f"row {row!r} is not a sequence")
         out.append(tuple(map(field.coerce, row)))
         if len(out[-1]) != n:
@@ -366,7 +385,8 @@ def _span_canonical(field: FieldSpec, ambient_dim: int,
     dicts with nonzero scalars canonical in `field` and columns in
     range(ambient_dim), so nothing is coerced or checked again.  They are
     reduced sparse, and the returned Subspace keeps them so."""
-    return _subspace(field, ambient_dim, _echelon_sparse(field, rows))
+    return _subspace(field, ambient_dim,
+                     _echelon_sparse(field, ambient_dim, rows))
 
 
 def _subspace(field: FieldSpec, n: int, echelon: dict) -> Subspace:
@@ -412,7 +432,7 @@ def _kernel_canonical(field: FieldSpec, ncols: int,
     """
     f, n, p = field, ncols, field.p  # p is 0 over Q
     echelon = _echelon_sparse(
-        f, ({n - 1 - c: x for c, x in row.items()} for row in rows))
+        f, n, ({n - 1 - c: x for c, x in row.items()} for row in rows))
     null = {c: {c: f.one} for c in range(n) if n - 1 - c not in echelon}
     for q, row in echelon.items():
         for k, x in row.items():
@@ -430,6 +450,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     f, n = a.field, a.ambient_dim
     stacked = [dict(row + tuple((n + c, x) for c, x in row)) for row in a.rows]
     stacked += map(dict, b.rows)
-    echelon = _echelon_sparse(f, stacked)
+    echelon = _echelon_sparse(f, 2 * n, stacked)
     return _subspace(f, n, {q - n: {c - n: x for c, x in row.items()}
                             for q, row in echelon.items() if q >= n})

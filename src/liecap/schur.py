@@ -27,16 +27,19 @@ the rank of those rows.
 
 J is kept sparse from end to end.  A row d3(e_i ^ e_j ^ e_k) has at most
 three brackets' worth of nonzeros, so it is built as a {column: scalar}
-dict over the pairs, numbered in lexicographic order, and all rows
-go into one linalg._echelon_sparse call, whose canonical rows are stored
-sparse as {pivot: row}; the rank is the number of pivots.  Rows of
-different degrees share no column, and the echelon's column index never
-visits a row of another degree.  The residual of a pair mod J is read
-off them: minus the row with that pivot, the pivot entry dropped, when
-the pair is a pivot, and the pair itself otherwise, so only a row's
-nonzero items are read.  The residuals below
-are read in the same pass, and J's rows are not kept.  An ungraded basis
-runs the same code with every degree 0: no cut.
+dict over the pairs, numbered in lexicographic order, and all rows go
+into one linalg._echelon_sparse call, whose canonical rows are stored
+sparse as {pivot: row}; the rank is the number of pivots.  The rows go
+in decreasing triple order: a new pivot then mostly falls left of every
+stored row, which is 0 there, so nothing is cleared behind it.  F(7,3)
+over GF(2) and F(4,4) over GF(3) update no stored entry this way, and
+2150 in increasing order.  Rows of different degrees share no column,
+and the echelon's column index never visits a row of another degree.  The
+residual of a pair mod J is read off them: minus the row with that
+pivot, the pivot entry dropped, when the pair is a pivot, and the pair
+itself otherwise, so only a row's nonzero items are read.  The residuals
+below are read in the same pass, and J's rows are not kept.  An ungraded
+basis runs the same code with every degree 0: no cut.
 
 Exterior center from the generators.  With x_l the basis of
 minimal_generators(L),
@@ -66,18 +69,23 @@ index t and generator x_l, as sparse rows over the pair columns that are
 not J pivots (so its width is dim L ^ L), serves both of the answers
 below.  Z^(L) is the kernel of z -> (sum_t z_t res[l][t])_l, solved for
 z supported on S, the columns of the (column, value) pairs of L^2's
-canonical rows: its pivots, and each non-pivot (generator) column where a
-row is nonzero, since a row is 0 at every other pivot.  For d >= 2, Z^(L)
-lies in L^2, so on S; for d <= 1, S is all of L.  The kernel is taken in
-one sparse reduction over the |S| unknowns, with a row per (l, column of
-L ^ L), and res[l][t] is read only for t in S.  The map from positions
-in S to the coordinates of L is increasing, so it keeps a canonical basis
-canonical, and the null vectors' pairs are written back at S's indices as
-they are.  On a basis where L^2 is a coordinate span, as on a graded one, S
-is the dim L^2 pivots, so Z^(L) <= L^2 holds by construction there.
-When graded, J and the x_l are homogeneous, so the rows of z of
-different degrees share no column and the echelon's column index keeps
-them apart.
+canonical rows: its pivots, and each non-pivot (generator) column where
+a row is nonzero, since a row is 0 at every other pivot.  For d >= 2,
+Z^(L) lies in L^2, so on S; for d <= 1, S is all of L.  The kernel is
+taken in one sparse reduction over the |S| unknowns, with a row per
+(l, column of L ^ L), and res[l][t] is read only for t in S.  The rows
+are built one generator at a time and handed to the echelon as each
+generator's are done, and the echelon stops once all |S| columns are
+pivots: Z^(L) is then 0, and no later row can change it.  So a capable
+algebra usually leaves its last generators' residuals unread; F(7,3)
+over GF(2) has 1421 rows over 133 unknowns and full rank after row 286.
+The map from positions in S to the coordinates of L is increasing, so
+it keeps a canonical basis canonical, and the null vectors' pairs are
+written back at S's indices as they are.  On a basis where L^2 is a
+coordinate span, as on a graded one, S is the dim L^2 pivots, so
+Z^(L) <= L^2 holds by construction there.  When graded, J and the x_l
+are homogeneous, so the rows of z of different degrees share no column
+and the echelon's column index keeps them apart.
 
 Central-ideal bound without a quotient.  For an ideal I, Lambda^2 (L/I)
 is Lambda^2 L modulo L ^ I = span{x ^ v : v in I}, and J(L/I) is the
@@ -242,8 +250,8 @@ def _wedge(L: LieAlgebra) -> _Wedge:
     p = f.p  # 0 over Q
     rows = [{c: x % p for c, x in row.items() if x % p} if p
             else {c: x for c, x in row.items() if x}
-            for row in map(sums.get, sorted(sums))]
-    echelon = _echelon_sparse(f, rows)
+            for row in map(sums.get, sorted(sums, reverse=True))]
+    echelon = _echelon_sparse(f, ncols, rows)
     free = {c: i for i, c in enumerate(c for c in range(ncols)
                                        if c not in echelon)}
     minus_one = f.neg(f.one)
@@ -281,16 +289,16 @@ def _central_wedge_rank(L: LieAlgebra, I: Subspace) -> int:
     generators x_l, built as sparse rows and counted as the pivots of
     their sparse echelon form."""
     f = L.field
-    residuals = _wedge(L).residuals
+    wedge = _wedge(L)
     rows = []
     for v in I.rows:
-        for per_l in residuals:
+        for per_l in wedge.residuals:
             row: dict = {}
             for t, x in v:
                 for i, y in per_l.get(t, ()):
                     row[i] = f.add(row.get(i, f.zero), f.mul(x, y))
             rows.append({i: y for i, y in row.items() if y})
-    return len(_echelon_sparse(f, rows))
+    return len(_echelon_sparse(f, wedge.dim, rows))
 
 
 # ======================================================================
@@ -312,8 +320,10 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     the pairs of L^2's canonical rows (all of L when L has at most one
     generator).  Z^(L) lies in L^2 (module docstring), so on S; only the
     residuals of t in S are read, and the pairs of the null vectors over
-    S are written back at S's indices.  _wedge comes first, so a
-    non-nilpotent L raises NotNilpotentError."""
+    S are written back at S's indices.  The rows are yielded one
+    generator at a time, so the residuals of the generators after the row
+    that makes the system full rank (Z^(L) = 0) are never read.  _wedge
+    comes first, so a non-nilpotent L raises NotNilpotentError."""
     cached = L._cache.get("exterior_center")
     if cached is not None:
         return cached
@@ -324,12 +334,18 @@ def exterior_center(L: LieAlgebra) -> Subspace:
     else:
         support = sorted({c for row in L.derived_subalgebra().rows
                           for c, _ in row})
-    rows: dict = {}
-    for l, per_l in enumerate(residuals):
-        for a, t in enumerate(support):
-            for i, x in per_l.get(t, ()):
-                rows.setdefault((l, i), {})[a] = x
-    inside = _kernel_canonical(f, len(support), rows.values())
+
+    def rows():
+        # generator l's rows are whole once its residuals are read, so
+        # they go to the echelon before the next generator's are built
+        for per_l in residuals:
+            by_col: dict = {}
+            for a, t in enumerate(support):
+                for i, x in per_l.get(t, ()):
+                    by_col.setdefault(i, {})[a] = x
+            yield from by_col.values()
+
+    inside = _kernel_canonical(f, len(support), rows())
     cached = Subspace(f, n, tuple(tuple((support[a], x) for a, x in row)
                                   for row in inside.rows),
                       tuple(support[a] for a in inside.pivots))

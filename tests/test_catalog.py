@@ -3,7 +3,7 @@ random sampler."""
 
 import pytest
 
-from liecap import GF2, GF3, GF5, QQ
+from liecap import GF2, GF3, GF5, QQ, LieAlgebra, catalog
 from liecap.errors import FieldError, ScopeError
 from liecap.catalog import (
     CATALOG,
@@ -217,6 +217,26 @@ def test_sampler_tables_are_pinned(key):
     f = {2: GF2, 3: GF3, 5: GF5}[p]
     assert random_gen_heisenberg(7, 2, f, seed=seed).table == \
         SAMPLER_TABLES[key]
+
+
+@pytest.mark.parametrize("key", list(SAMPLER_TABLES))
+def test_sampler_rank_rule_matches_the_center(key):
+    # every candidate a pinned seed draws, up to the one it accepts:
+    # dim Z(L) = 7 - rank(ad), so the rank rule (rank g = 5) accepts
+    # exactly when dim Z(L) = 2.  GF(2) seed 0, GF(3) seed 59 and GF(5)
+    # seed 115 reject their first draw, whose center has dimension 3
+    p, seed = key
+    f = {2: GF2, 3: GF3, 5: GF5}[p]
+    rejected = []
+    for table in catalog._draws(f, 7, 5, seed):
+        L = LieAlgebra(f, 7, table)
+        rank = catalog._ad_rank(f, 7, 5, table)
+        assert rank == 7 - L.center().dim
+        if rank == 5 and L.derived_subalgebra().dim == 2:
+            break
+        rejected.append(rank)
+    assert table == SAMPLER_TABLES[key]
+    assert rejected == ([4] if key in ((2, 0), (3, 59), (5, 115)) else [])
 
 
 def test_sampler_varies_with_seed():

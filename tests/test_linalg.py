@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -98,7 +99,9 @@ def _sparse_cases(draw):
     and combinations of earlier rows, which cancel to zero when they are
     inserted after the rows they combine.  Over Q the entries have common
     factors and denominators, so rows are made primitive and combined
-    with multipliers other than 1."""
+    with multipliers other than 1.  In tall cases n unit upper triangular
+    rows are shuffled in, so every column is a pivot before the rows that
+    follow are read."""
     f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
     if f.is_rationals:
         entry = st.sampled_from([0, 0, 0, 1, -1, 2, 12, -15, Fraction(1, 2),
@@ -110,6 +113,11 @@ def _sparse_cases(draw):
     rows = [[f.coerce(x) for x in row] for row in
             draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                           max_size=10))]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows + [
+            [f.zero] * c + [f.one] + [f.coerce(draw(entry))
+                                      for _ in range(n - 1 - c)]
+            for c in range(n)]))
     if rows:
         rows.append([f.zero] * n)
         rows += draw(st.lists(st.sampled_from(rows), max_size=2))
@@ -129,7 +137,7 @@ def test_echelon_sparse_and_rref_rows_match_gauss_jordan(case):
     f, n, rows = case
     sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
     before = [dict(row) for row in sparse]
-    echelon = linalg._echelon_sparse(f, sparse)
+    echelon = linalg._echelon_sparse(f, n, sparse)
     reduced, pivots = gauss_jordan(f, rows)
     assert rref_rows(f, rows) == (reduced, pivots)
     assert sorted(echelon) == pivots
@@ -167,6 +175,55 @@ def test_canonical_span_and_kernel_match_gauss_jordan(case):
             type(x) is type(f.one) for row in got.rows + dense.rows
             for _, x in row)
     assert sparse == before
+
+
+def _canonical_items(echelon):
+    """{pivot: row} as sorted items, in the reprs of its scalars, so that
+    an int and an equal Fraction tell apart."""
+    return repr(sorted((q, sorted(row.items())) for q, row in echelon.items()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_cases(), st.data())
+def test_echelon_sparse_does_not_depend_on_the_row_order(case, data):
+    f, n, rows = case
+    sparse = [{c: x for c, x in enumerate(row) if x != 0} for row in rows]
+    shuffled = data.draw(st.permutations(sparse))
+    assert _canonical_items(linalg._echelon_sparse(f, n, shuffled)) == \
+        _canonical_items(linalg._echelon_sparse(f, n, sparse))
+
+
+@pytest.mark.parametrize("f", [QQ, GF2, GF3, GF5], ids=str)
+def test_echelon_sparse_reads_no_row_past_full_rank(f):
+    # the rows run on past the one that makes every column a pivot; the
+    # feed fails if the echelon asks for any of them
+    rng = random.Random(61)
+    for n in (1, 4, 9):
+        rows = [[f.random_scalar(rng) if rng.random() < 0.4 else f.zero
+                 for _ in range(n)] for _ in range(4 * n)]
+        rows += [[f.one] * n] + [
+            [f.zero] * c + [f.one] + [f.zero] * (n - 1 - c) for c in range(n)]
+        full = next(k for k in range(len(rows))
+                    if len(gauss_jordan(f, rows[:k + 1])[1]) == n)
+        assert full < len(rows) - 1
+        read = []
+
+        def feed():
+            for k, row in enumerate(rows):
+                if k > full:
+                    pytest.fail(f"row {k} read after the rank was full at "
+                                f"row {full}")
+                read.append(k)
+                yield {c: x for c, x in enumerate(row) if x != 0}
+
+        echelon = linalg._echelon_sparse(f, n, feed())
+        assert read == list(range(full + 1))
+        # the full input's canonical rows: the identity
+        reduced, pivots = gauss_jordan(f, rows)
+        assert sorted(echelon) == pivots == list(range(n))
+        assert _canonical_items(echelon) == _canonical_items(
+            {q: {c: x for c, x in enumerate(row) if x != 0}
+             for q, row in zip(pivots, reduced)})
 
 
 def test_rref_canonical_under_row_shuffle():
@@ -537,14 +594,36 @@ def test_reduce_coerces_its_entries():
             s.contains(bad)
 
 
+def _row_id(bad):
+    # a memoryview's repr carries its address, which changes run to run
+    if isinstance(bad, memoryview):
+        return f"memoryview({bytes(bad)!r})"
+    return repr(bad)
+
+
 @pytest.mark.parametrize("bad", ["123", "246", b"123", bytearray(b"123"),
-                                 memoryview(b"123")], ids=repr)
+                                 memoryview(b"123")], ids=_row_id)
 def test_a_str_or_bytes_row_is_refused(bad):
     # a string used to be read as a row of one-character scalars:
     # span(QQ, 3, ['123']) was the line through (1, 2, 3), and
     # span(QQ, 3, [[1, 2, 3]]).contains('246') was True
     line = span(QQ, 3, [[1, 2, 3]])
     for call in (lambda: span(QQ, 3, [bad]), lambda: kernel(GF3, 3, [bad]),
+                 lambda: line.reduce(bad), lambda: line.contains(bad)):
+        with pytest.raises(ShapeError, match="is not a sequence$"):
+            call()
+
+
+@pytest.mark.parametrize("n, bad", [
+    (2, {0: 5, 1: 7}), (3, {3, 1, 2}), (2, frozenset({0, 1})),
+    (2, MappingProxyType({0: 5, 1: 7})), (2, {0: 5, 1: 7}.keys())],
+    ids=repr)
+def test_a_mapping_or_set_row_is_refused(n, bad):
+    # a mapping used to be read as its keys: span(QQ, 2, [{0: 5, 1: 7}])
+    # was the line through (0, 1), not (5, 7), and kernel(QQ, 2, [{0: 5,
+    # 1: 7}]) the line through (1, 0); a set was read in iteration order
+    line = span(QQ, n, [[1] * n])
+    for call in (lambda: span(QQ, n, [bad]), lambda: kernel(GF3, n, [bad]),
                  lambda: line.reduce(bad), lambda: line.contains(bad)):
         with pytest.raises(ShapeError, match="is not a sequence$"):
             call()

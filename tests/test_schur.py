@@ -829,6 +829,32 @@ def test_exterior_center_reads_residuals_only_inside_the_support(f):
     assert any(exterior_center(L).basis[0][t] for t in gens)
 
 
+def test_exterior_center_stops_reading_generators_at_full_rank():
+    # a capable algebra's system has full rank, and the echelon stops at
+    # the row that completes it: F(7,3)/GF(2) (1421 rows over 133
+    # unknowns, full after row 286) never reads the residuals of its
+    # last generators.  L27B is not capable, so every generator is read
+    read = {}
+    for M in (free_nilpotent(7, 3, GF2).algebra, build("L27B", GF2),
+              build("L27B", QQ)):
+        # fresh copies: build() shares its algebras and their caches
+        want = exterior_center_whole_kernel(
+            LieAlgebra(M.field, M.dim, M.table, name=M.name))
+        L = LieAlgebra(M.field, M.dim, M.table, name=M.name)
+        wedge = _wedge(L)
+        seen = [set() for _ in wedge.residuals]
+        L._cache["wedge"] = wedge._replace(residuals=[
+            _ReadRecorder(per_l, s) for per_l, s in zip(wedge.residuals,
+                                                         seen)])
+        zc = exterior_center(L)
+        assert repr(zc.basis) == repr(want.basis), L.name
+        assert zc.pivots == want.pivots, L.name
+        read[L.name, str(L.field)] = [l for l, s in enumerate(seen) if s]
+    free = read["F(7,3)", str(GF2)]
+    assert 0 < len(free) < 7 and free == list(range(len(free)))
+    assert read["L27B", str(GF2)] == read["L27B", str(QQ)] == list(range(5))
+
+
 def _permuted(L, perm):
     """L with e_i renumbered perm[i]."""
     neg = L.field.neg

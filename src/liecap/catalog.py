@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import FieldError, ResourceError, ScopeError, ShapeError
 from .field import FieldSpec, Scalar
 from .liealg import LieAlgebra
-from .linalg import _echelon_sparse
+from .linalg import _echelon_sparse, _is_int
 
 MAX_SAMPLER_TRIES = 1000
 
@@ -52,7 +52,7 @@ _FIXED = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build(name: str, field: FieldSpec, n: Optional[int] = None,
           m: Optional[int] = None, eps: Optional[Scalar] = None,
           eta: Optional[Scalar] = None) -> LieAlgebra:
@@ -73,13 +73,13 @@ def build(name: str, field: FieldSpec, n: Optional[int] = None,
             raise ValueError(f"{name} does not take parameter {key}")
 
     if name == "A":
-        if n < 0:
-            raise ValueError("A(n) needs n >= 0")
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"A(n) needs an int n >= 0, not {n!r}")
         return _validated(LieAlgebra(field, n, {}, name=f"A({n})"))
 
     if name == "H":
-        if m < 1:
-            raise ValueError("H(m) needs m >= 1")
+        if not _is_int(m) or m < 1:
+            raise ValueError(f"H(m) needs an int m >= 1, not {m!r}")
         table = {(2 * l, 2 * l + 1): {2 * m: field.one} for l in range(m)}
         return _validated(LieAlgebra(field, 2 * m + 1, table, name=f"H({m})"))
 

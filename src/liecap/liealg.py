@@ -160,44 +160,41 @@ class LieAlgebra:
     # --- validation -------------------------------------------------------
 
     def validate(self) -> "JacobiReport":
-        """Check Jacobi on the basis triples i < j < k.  A triple none of
-        whose pairs is in the table satisfies it trivially, so only the
-        triples that meet a table entry are visited.
+        """Check Jacobi on the basis triples i < j < k.
 
-        The sums run on Python ints.  Over Q the table is first scaled by
-        the lcm D of its denominators; each Jacobi sum is quadratic in the
-        structure constants, so it scales by D^2 and zero stays zero.  Over
-        GF(p) the residues are summed as they are, and a sum is reduced mod
-        p only when it is tested."""
+        The table is read once into ad[a][b] = [e_a, e_b], in both orders.
+        A Jacobi sum adds [e_a, [e_b, e_c]] over the three cyclic orders of
+        its triple, and such a term is nonzero only if some target t of the
+        table entry [e_b, e_c] has [e_a, e_t] != 0.  So only the triples
+        listed that way are summed: every other triple sums to 0.
+
+        The sums run on Python ints.  Over Q the table is scaled by the lcm
+        D of its denominators as it is read; each Jacobi sum is quadratic
+        in the structure constants, so it scales by D^2 and zero stays
+        zero.  Over GF(p) a sum is reduced mod p only when it is tested."""
         p = self.field.p  # 0 over Q
-        n = self.dim
-        if p:
-            table = self.table
-        else:
-            den = math.lcm(*[c.denominator for entry in self.table.values()
-                             for c in entry.values()])
-            table = {pair: {k: c.numerator * (den // c.denominator)
-                            for k, c in entry.items()}
-                     for pair, entry in self.table.items()}
-        get = table.get
-        triples = {tuple(sorted((a, b, m)))
-                   for a, b in table for m in range(n) if m not in (a, b)}
+        den = 1 if p else math.lcm(*[c.denominator
+                                     for entry in self.table.values()
+                                     for c in entry.values()])
+        ad: list = [{} for _ in range(self.dim)]
+        for (a, b), entry in self.table.items():
+            if not p:
+                entry = {k: c.numerator * (den // c.denominator)
+                         for k, c in entry.items()}
+            ad[a][b] = entry
+            ad[b][a] = {k: -c for k, c in entry.items()}
+        triples = set()
+        for (b, c), entry in self.table.items():
+            for a in set().union(*[ad[t] for t in entry]):
+                if a != b and a != c:
+                    triples.add(tuple(sorted((a, b, c))))
         violations = []
         for i, j, k in sorted(triples):
             acc: dict = {}
-            for inner, outer, sign in (
-                (get((j, k)), i, 1),    # [e_i, [e_j, e_k]]
-                (get((i, k)), j, -1),   # [e_j, [e_k, e_i]] = -[e_j, [e_i, e_k]]
-                (get((i, j)), k, 1),    # [e_k, [e_i, e_j]]
-            ):
-                for t, c in (inner or {}).items():
-                    # [e_outer, e_t], with [e_t, e_outer] = -[e_outer, e_t]
-                    if outer < t:
-                        outer_t, s = get((outer, t)), sign
-                    else:
-                        outer_t, s = get((t, outer)), -sign
-                    for u, d in (outer_t or {}).items():
-                        acc[u] = acc.get(u, 0) + s * c * d
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, x in ad[b].get(c, {}).items():
+                    for u, y in ad[a].get(t, {}).items():
+                        acc[u] = acc.get(u, 0) + x * y
             if any(v % p if p else v for v in acc.values()):
                 violations.append((i, j, k))
         return JacobiReport(ok=not violations, violations=tuple(violations))

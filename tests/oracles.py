@@ -530,6 +530,51 @@ def random_pencil_stem(f, rng, decomposable: bool) -> LieAlgebra:
             return L
 
 
+def kronecker_pencil(f, blocks) -> LieAlgebra:
+    """The pencil algebra of a sum of Kronecker blocks (Scharlau, Math. Z.
+    147, 1976), each on the next free coordinates of V.  ("L", e), e >= 1,
+    is the singular block L_e on u_0..u_e, v_1..v_e, with w1 = sum
+    u_(i-1)^v_i and w2 = sum u_i^v_i; ("R", lam) is the regular block R_lam
+    on u, v, with w1 = u^v and w2 = lam u^v, and ("R", None) is R_inf, with
+    w1 = 0 and w2 = u^v."""
+    w1, w2, d = {}, {}, 0
+    for kind, x in blocks:
+        if kind == "L":
+            u, v = d, d + x  # u_i at u + i, v_i at v + i
+            for i in range(1, x + 1):
+                w1[(u + i - 1, v + i)] = 1
+                w2[(u + i, v + i)] = 1
+            d += 2 * x + 1
+        else:
+            if x is None:
+                w2[(d, d + 1)] = 1
+            else:
+                w1[(d, d + 1)], w2[(d, d + 1)] = 1, x
+            d += 2
+    name = " + ".join(f"{kind}_{'inf' if x is None else x}"
+                      for kind, x in blocks)
+    return pencil_algebra(f, d, w1, w2, name=name)
+
+
+def kronecker_stems(f, lambdas, max_t: int):
+    """(blocks, L) for every multiset of blocks L_e (e >= 1) and at most
+    three R_lam (lam in `lambdas`, or None) whose algebra is a stem of
+    dimension at most max_t with dim L^2 = 2: w1 and w2 independent and
+    Z(L) = L^2.  More regular blocks only add stems that a random pencil
+    gives anyway."""
+    kinds = ([("L", e) for e in range(1, (max_t - 2) // 2)]
+             + [("R", lam) for lam in (*lambdas, None)])
+    size = {b: 2 * b[1] + 1 if b[0] == "L" else 2 for b in kinds}
+    for k in range(1, (max_t - 2) // 2 + 1):
+        for blocks in itertools.combinations_with_replacement(kinds, k):
+            if (sum(size[b] for b in blocks) + 2 <= max_t
+                    and sum(kind == "R" for kind, _ in blocks) <= 3):
+                L = kronecker_pencil(f, blocks)
+                z = L.center()
+                if L.derived_subalgebra() == z and z.dim == 2:
+                    yield blocks, L
+
+
 # ----------------------------------------------------------------------
 # the presentation route
 # ----------------------------------------------------------------------

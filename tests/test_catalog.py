@@ -1,6 +1,7 @@
 """Named algebra constructions, parameter validation, and the seeded
 random sampler."""
 
+import numpy as np
 import pytest
 
 from liecap import GF2, GF3, GF5, QQ, LieAlgebra, catalog
@@ -107,10 +108,18 @@ def test_unexpected_parameter_rejected():
 
 
 def test_parameter_ranges():
-    with pytest.raises(ValueError):
-        build("A", QQ, n=-1)
-    with pytest.raises(ValueError):
-        build("H", QQ, m=0)
+    # n=True and n=1.5 used to raise ShapeError from the constructor, and
+    # n="3" a raw TypeError
+    for n in (-1, True, 1.5, "3"):
+        with pytest.raises(ValueError, match=r"A\(n\) needs an int n >= 0"):
+            build("A", QQ, n=n)
+    # m=True used to give H(1) named "H(True)", from the cache too once H(1)
+    # was built, and m=1.5 a raw TypeError from range()
+    assert build("H", QQ, m=1).name == "H(1)"
+    for m in (0, True, 1.5):
+        with pytest.raises(ValueError, match=r"H\(m\) needs an int m >= 1"):
+            build("H", QQ, m=m)
+    assert build("H", QQ, m=np.int64(2)).name == "H(2)"
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from liecap.liealg import (
 from liecap.schur import is_capable
 
 from oracles import (
+    kronecker_stems,
     on_basis,
     pencils,
     random_pencil_stem,
@@ -120,6 +121,33 @@ def test_dim8_rank2_stem_is_non_capable_both_routes():
     v = capability_structural(L)
     assert not v.capable and v.rule == RULE_CLASS2_STEM_DIM
     assert not is_capable(L)
+
+
+@pytest.mark.parametrize("f, lambdas", [
+    (GF2, range(2)), (GF3, range(3)), (GF5, range(5)),
+    (QQ, (0, -1, Fraction(1, 2))),
+], ids=["GF2", "GF3", "GF5", "Q"])
+def test_stems_built_from_kronecker_blocks(f, lambdas):
+    # the paper: a class-2 stem with dim L^2 = 2 is capable only up to
+    # dimension 7.  Random pencils are almost always regular, so the stems
+    # here are built block by block (singular blocks L_e and regular R_lam)
+    # and checked in the block basis and in a random one (ungraded)
+    rng = random.Random(11)
+    large = 0
+    for blocks, L in kronecker_stems(f, lambdas, 12):
+        n = L.dim
+        P = [[1 if i == j else rng.randint(0, 1) if j > i else 0
+              for j in range(n)] for i in range(n)]
+        for M in (L, on_basis(L, P)[1]):
+            v = capability_structural(M)
+            assert v.capable == is_capable(M), (L.name, M is L)
+            if n >= 8:
+                assert not v.capable, L.name
+            elif n == 7:
+                assert v.family_label == (
+                    "L27A" if blocks == (("L", 2),) else "L27B"), L.name
+        large += n >= 8
+    assert large >= 40
 
 
 def _class2_rank2_cases():

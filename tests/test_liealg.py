@@ -28,6 +28,7 @@ from oracles import (
     bracket_subspaces_all_pairs,
     jacobi_violations_all_triples,
     lower_central_series_loop,
+    on_basis,
     quotient_projection_by_reduction,
     quotient_with_projection,
     stem_decompose,
@@ -95,27 +96,53 @@ def test_validate_matches_all_triples(L):
     assert L.validate().violations == jacobi_violations_all_triples(L)
 
 
+def _single_term_tables(f) -> list:
+    """Tables on which Jacobi fails at one triple {a, b, c} only, through
+    the one term [e_a, [e_b, e_c]], for each place of a in the triple:
+    [e_b, e_c] = e_t + e_s, and [e_a, e_s] is the only nonzero bracket of
+    a with a target, so the entry's second target alone reaches a and the
+    other two terms are 0.  The targets lie above the triple or below it,
+    so that [e_a, e_s] is read in both orders."""
+    out = []
+    for triple, (t, s, u) in (((0, 1, 2), (3, 4, 5)),
+                              ((3, 4, 5), (2, 1, 0))):
+        for a in triple:
+            b, c = (x for x in triple if x != a)
+            out.append(LieAlgebra(f, 6, {(b, c): {t: 1, s: 1},
+                                         (min(a, s), max(a, s)): {u: 1}}))
+    return out
+
+
+def _scalars(f):
+    if f.is_rationals:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
+    return st.integers(0, f.p - 1)
+
+
+@st.composite
+def _bases(draw, f, n):
+    """P for the basis f_a = sum_i P[i][a] e_i: nonzero scalars on the
+    diagonal, so that over Q the structure constants become fractions, and
+    zeros above it or (the dense rebased form) random scalars."""
+    scalar = _scalars(f)
+    nonzero = scalar.filter(lambda x: x != 0)
+    dense = draw(st.booleans())
+    return [[draw(nonzero) if i == j else draw(scalar) if dense and j > i
+             else 0 for j in range(n)] for i in range(n)]
+
+
 @st.composite
 def _tampered_tables(draw):
-    """A catalog algebra on the basis f_a = x_a e_a, so that over Q its
-    structure constants x_a x_b c / x_k are fractions, with up to three
-    entries of its table then overwritten by random scalars."""
+    """A catalog algebra or a single-term table on a basis from _bases,
+    with up to three entries of its table then overwritten by random
+    scalars."""
     f = draw(st.sampled_from([QQ, GF2, GF3, GF5]))
-    L = draw(st.sampled_from(standard_instances(f)))
+    L = draw(st.sampled_from(standard_instances(f) + _single_term_tables(f)))
     n = L.dim
-    if f.is_rationals:
-        scalar = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8))
-    else:
-        scalar = st.integers(0, f.p - 1)
-    nonzero = scalar.filter(lambda x: x != 0)
-    x = [f.coerce(draw(nonzero)) for _ in range(n)]
-    inv = [f.scalar(1) / y if f.is_rationals else pow(y, -1, f.p) for y in x]
-    table = {(a, b): {k: f.mul(f.mul(x[a], x[b]), f.mul(inv[k], c))
-                      for k, c in entry.items()}
-             for (a, b), entry in L.table.items()}
+    table = on_basis(L, draw(_bases(f, n)))[1].table
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for pair, k, c in draw(st.lists(st.tuples(
-            st.sampled_from(pairs), st.integers(0, n - 1), scalar),
+            st.sampled_from(pairs), st.integers(0, n - 1), _scalars(f)),
             max_size=3)):
         table.setdefault(pair, {})[k] = f.coerce(c)
     return LieAlgebra(f, n, table, name=L.name)
@@ -127,6 +154,23 @@ def test_validate_matches_all_triples_on_tampered_tables(L):
     # validate sums Jacobi on ints: the Q table scaled by the lcm of its
     # denominators, the GF(p) residues reduced only when a sum is tested
     assert L.validate().violations == jacobi_violations_all_triples(L)
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=str)
+def test_validate_finds_a_violation_that_one_term_carries(f):
+    # validate lists a triple only where a bracket meets a bracket; here
+    # one term of one triple does, through an entry's second target
+    half = f.coerce(Fraction(1, 2)) if f.is_rationals else f.one
+    for L in _single_term_tables(f):
+        found = L.validate().violations
+        assert len(found) == 1 and found == jacobi_violations_all_triples(L)
+        n = L.dim
+        for P in ([[half if i == j else 0 for j in range(n)]
+                   for i in range(n)],
+                  [[1 if i == j else (i + 2 * j) % 3 if j > i else 0
+                    for j in range(n)] for i in range(n)]):
+            M = on_basis(L, P)[1]
+            assert M.validate().violations == jacobi_violations_all_triples(M)
 
 
 def test_table_entries_out_of_range_rejected():

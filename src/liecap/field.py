@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator, Union
 
 from .errors import FieldError
 
 Scalar = Union[Fraction, int]
 
-# Prime moduli are capped so products of two residues fit in int64 for the
-# vectorized row operations in linalg.
+# Prime moduli are capped: _is_prime trial-divides up to the square root,
+# and the tests and README document this bound.
 MAX_PRIME = 2**31 - 1
 
 
@@ -88,18 +89,20 @@ class FieldSpec:
     # --- scalar construction ---------------------------------------------
 
     def coerce(self, x) -> Scalar:
-        """Canonicalize an int, Fraction, or scalar string into this field."""
+        """Canonicalize an integer (a numpy one too, but not a bool), a
+        Fraction, or a scalar string into this field."""
         if type(x) is int:
             return x % self.p if self.p else Fraction(x)
         if isinstance(x, str):
             return self.parse(x)
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise FieldError(f"cannot coerce {x!r} into {self}")
-        if self.kind == "Q":
-            return Fraction(x)
         if isinstance(x, Fraction):
+            if self.kind == "Q":
+                return Fraction(x)
             return self.scalar(x.numerator, x.denominator)
-        return x % self.p
+        if isinstance(x, Integral) and not isinstance(x, bool):
+            x = int(x)
+            return x % self.p if self.p else Fraction(x)
+        raise FieldError(f"cannot coerce {x!r} into {self}")
 
     def scalar(self, num: int, den: int = 1) -> Scalar:
         """The canonical scalar num/den.  den must be invertible."""

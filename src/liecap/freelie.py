@@ -25,6 +25,7 @@ from typing import Union
 from .errors import ResourceError, ShapeError
 from .field import FieldSpec
 from .liealg import DEFAULT_MAX_DIM, LieAlgebra
+from .linalg import _is_int
 
 HallTree = Union[int, tuple]
 
@@ -96,10 +97,18 @@ def free_dimension(d: int, c: int) -> int:
 # Hall basis and integer structure constants (cached per (d, c))
 # ======================================================================
 
+def _degree_bounds(what: str, d, c) -> tuple:
+    """(d, c) as plain ints, refused with ShapeError unless both are ints
+    (numpy ones too, but not bools) >= 1."""
+    if not (_is_int(d) and _is_int(c)) or d < 1 or c < 1:
+        raise ShapeError(f"{what} needs ints d >= 1, c >= 1, not "
+                         f"{d!r}, {c!r}")
+    return int(d), int(c)
+
+
 def hall_basis(d: int, c: int) -> list:
     """All Hall trees of degree <= c on d generators, in basis order."""
-    if d < 1 or c < 1:
-        raise ShapeError("hall_basis needs d >= 1, c >= 1")
+    d, c = _degree_bounds("hall_basis", d, c)
     by_degree: dict = {1: list(range(d))}
     for k in range(2, c + 1):
         items = []
@@ -207,8 +216,7 @@ class FreeNilpotent:
 
 
 def free_nilpotent(d: int, c: int, field: FieldSpec) -> FreeNilpotent:
-    if d < 1 or c < 1:
-        raise ShapeError("free_nilpotent needs d >= 1, c >= 1")
+    d, c = _degree_bounds("free_nilpotent", d, c)
     total = free_dimension(d, c)
     if total > DEFAULT_MAX_DIM:
         raise ResourceError(

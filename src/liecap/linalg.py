@@ -5,27 +5,22 @@ reduction over the declared field.  Subspaces are stored only in
 reduced-row-echelon canonical form, so subspace equality is structural
 equality of the stored rows.
 
-Two elimination routines remain:
+One elimination routine, _echelon_sparse, reduces every row on every
+field.  It takes rows held as {column: scalar} dicts, one row at a time,
+and returns the canonical rows stored sparse; it stops reading rows once
+every column is a pivot.  Over Q it works fraction-free on primitive
+integer rows, and Fractions appear only in the returned rows; over GF(p)
+the rows are ints mod p, each 1 at its pivot, and are combined in place
+with no helper call, since most of the rows it sees are a few entries
+long.  Its rows are the wedge relations of schur, the subspaces of L that
+_span_canonical and _kernel_canonical take as dicts (L^2, [A, B], the
+centers and Z^(L)), the Zassenhaus rows of subspace_intersect, and the
+rows from outside that span() and kernel() take dense (central product
+gluing vectors among them), which _coerced hands on as the dicts of their
+nonzero coerced entries.  The returned Subspace keeps the canonical rows
+sparse.
 
-* _echelon_sparse reduces rows held as {column: scalar} dicts, one row at
-  a time, and returns the canonical rows stored sparse; it stops reading
-  rows once every column is a pivot.  Over Q it works fraction-free on
-  primitive integer rows, and Fractions appear only in the returned rows;
-  over GF(p) the rows are ints mod p, each 1 at its pivot, and are
-  combined in place with no helper call, since most of the rows it sees
-  are a few entries long.  It reduces every row the library builds itself,
-  on every field: the wedge relations of schur, the subspaces of L that
-  _span_canonical and _kernel_canonical take as dicts (L^2, [A, B], the
-  centers and Z^(L)), whose canonical rows the returned Subspace keeps
-  sparse, and the Zassenhaus rows of subspace_intersect.  Over Q it
-  reduces the dense rows of rref_rows too;
-* _rref_gf reduces dense rows over GF(p) in numpy int64 arrays, with the
-  column eliminations vectorized.  Only rref_rows reaches it, and only
-  span() calls rref_rows, for rows from outside the library (central
-  product gluing vectors among them).  FieldSpec caps p below 2^31 so
-  residue products fit in int64.
-
-Both are exact; there is no floating point and no modular lifting.
+It is exact; there is no floating point and no modular lifting.
 Reduction modulo a subspace is Subspace._residual alone, on sparse rows:
 reduce, contains, contains_subspace and the quotients of liealg go
 through it, and nothing reduces a dense row.
@@ -40,8 +35,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from numbers import Integral
 
-import numpy as np
-
 from .errors import ShapeError
 from .field import FieldSpec
 
@@ -49,51 +42,6 @@ from .field import FieldSpec
 # ======================================================================
 # elimination cores
 # ======================================================================
-
-def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
-    """RREF over GF(p) via numpy.  Returns (canonical int rows, pivots)."""
-    A = np.array(rows, dtype=np.int64)
-    nrows, ncols = A.shape
-    A %= p
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            A[[r, sel]] = A[[sel, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        if inv != 1:
-            A[r] = (A[r] * inv) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        nzr = np.flatnonzero(col)
-        if nzr.size:
-            A[nzr] = (A[nzr] - np.outer(col[nzr], A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A[:r].tolist(), pivots
-
-
-def rref_rows(field: FieldSpec, rows: Iterable[Sequence]) -> tuple[list, list[int]]:
-    """Canonical RREF of dense rows, entries canonical in `field`: (the
-    nonzero canonical rows, their pivots), one row per pivot.  In the
-    package, span() alone calls it."""
-    rows = list(rows)
-    if not rows:
-        return [], []
-    if not field.is_rationals:
-        return _rref_gf(rows, field.p)
-    zero, n = field.zero, len(rows[0])
-    echelon = _echelon_sparse(field, n, map(dict, _pairs(rows)))
-    pivots = sorted(echelon)
-    return [[echelon[p].get(c, zero) for c in range(n)]
-            for p in pivots], pivots
-
 
 def _echelon_sparse(field: FieldSpec, ncols: int,
                     rows: Iterable[dict]) -> dict:
@@ -295,9 +243,9 @@ class Subspace:
         v is in the subspace iff the residual is zero.
         """
         f, n = self.field, self.ambient_dim
-        (row,) = _pairs(_coerced(f, n, [v]))
+        (row,) = _coerced(f, n, [v])
         w = [f.zero] * n
-        for c, x in self._residual(dict(row)).items():
+        for c, x in self._residual(row).items():
             w[c] = x
         return tuple(w)
 
@@ -352,39 +300,36 @@ _NOT_A_ROW = (str, bytes, bytearray, memoryview, Mapping, Set)
 
 def _coerced(field: FieldSpec, n: int, rows: Iterable[Sequence]) -> list:
     """Outside rows, coerced into `field` and checked to be sequences of n
-    entries, n an int >= 0.  A str or bytes-like row is refused, not read
-    as a sequence of characters or byte values, and so is a mapping or a
-    set, not read as its keys."""
+    entries, n an int >= 0, each returned as the {column: scalar} dict of
+    its nonzero entries.  A str or bytes-like row is refused, not read as
+    a sequence of characters or byte values, and so is a mapping or a
+    set, not read as its keys.  Every row is checked before any is
+    reduced."""
     if not _is_int(n) or n < 0:
         raise ShapeError(f"ambient dimension {n!r} is not an int >= 0")
     out = []
     for row in rows:
         if not isinstance(row, Iterable) or isinstance(row, _NOT_A_ROW):
             raise ShapeError(f"row {row!r} is not a sequence")
-        out.append(tuple(map(field.coerce, row)))
-        if len(out[-1]) != n:
-            raise ShapeError(f"row length {len(out[-1])} != {n}")
+        row = tuple(map(field.coerce, row))
+        if len(row) != n:
+            raise ShapeError(f"row length {len(row)} != {n}")
+        out.append({c: x for c, x in enumerate(row) if x})
     return out
 
 
 def span(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
     """The span of dense rows from outside, coerced and shape-checked."""
-    reduced, pivots = rref_rows(field, _coerced(field, ambient_dim, rows))
-    return Subspace(field, ambient_dim, _pairs(reduced), tuple(pivots))
-
-
-def _pairs(rows: Iterable[Sequence]) -> tuple:
-    """The (column, value) pairs of each dense row's nonzero entries."""
-    return tuple(tuple((c, x) for c, x in enumerate(row) if x)
-                 for row in rows)
+    return _span_canonical(field, ambient_dim,
+                           _coerced(field, ambient_dim, rows))
 
 
 def _span_canonical(field: FieldSpec, ambient_dim: int,
                     rows: Iterable[dict]) -> Subspace:
-    """span() for rows the library built itself, as {column: scalar}
-    dicts with nonzero scalars canonical in `field` and columns in
-    range(ambient_dim), so nothing is coerced or checked again.  They are
-    reduced sparse, and the returned Subspace keeps them so."""
+    """span() of {column: scalar} dicts with nonzero scalars canonical in
+    `field` and columns in range(ambient_dim), as the library builds them
+    and _coerced hands them on, so nothing is coerced or checked again.
+    They are reduced sparse, and the returned Subspace keeps them so."""
     return _subspace(field, ambient_dim,
                      _echelon_sparse(field, ambient_dim, rows))
 
@@ -416,8 +361,7 @@ def coordinate_subspace(field: FieldSpec, n: int, indices: Iterable[int]) -> Sub
 def kernel(field: FieldSpec, ncols: int, rows: Iterable[Sequence]) -> Subspace:
     """Null space {v : row . v = 0 for every row} as a canonical Subspace
     of field^ncols."""
-    return _kernel_canonical(field, ncols, map(dict, _pairs(
-        _coerced(field, ncols, rows))))
+    return _kernel_canonical(field, ncols, _coerced(field, ncols, rows))
 
 
 def _kernel_canonical(field: FieldSpec, ncols: int,

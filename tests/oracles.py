@@ -32,7 +32,12 @@ L^2.
 
 `gauss_jordan` is textbook dense elimination with FieldSpec arithmetic,
 the reference that the package's row reduction is compared with, and
-`null_space_gauss_jordan` the kernel read off it.  `reduce_dense` is the
+`null_space_gauss_jordan` the kernel read off it.  `rref_rows` is the
+dense RREF that `span_rows`, `extend_to_complement` and
+`solve_right_inverse` run: numpy's `_rref_gf` over GF(p), which the
+package no longer has, and the package's `_echelon_sparse` over Q.  It is
+not `gauss_jordan`, whose FieldSpec arithmetic would make the
+presentation route several times slower.  `reduce_dense` is the
 dense residual mod a subspace that the quotient oracles read, so that
 they share no code with `Subspace._residual`, which `LieAlgebra.quotient`
 runs.
@@ -49,10 +54,9 @@ from liecap.freelie import FreeNilpotent, free_nilpotent
 from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Subspace,
-    _pairs,
+    _echelon_sparse,
     coordinate_subspace,
     kernel,
-    rref_rows,
     span,
     subspace_intersect,
     zero_subspace,
@@ -87,6 +91,58 @@ def gauss_jordan(f, rows) -> tuple:
                            for y, z in zip(row, work[r])]
         pivots.append(c)
     return work[:len(pivots)], pivots
+
+
+def _rref_gf(rows, p: int) -> tuple[list, list[int]]:
+    """RREF over GF(p) via numpy.  Returns (canonical int rows, pivots)."""
+    A = np.array(rows, dtype=np.int64)
+    nrows, ncols = A.shape
+    A %= p
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        sel = r + int(nz[0])
+        if sel != r:
+            A[[r, sel]] = A[[sel, r]]
+        inv = pow(int(A[r, c]), -1, p)
+        if inv != 1:
+            A[r] = (A[r] * inv) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        nzr = np.flatnonzero(col)
+        if nzr.size:
+            A[nzr] = (A[nzr] - np.outer(col[nzr], A[r])) % p
+        pivots.append(c)
+        r += 1
+    return A[:r].tolist(), pivots
+
+
+def rref_rows(field, rows) -> tuple[list, list[int]]:
+    """Canonical RREF of dense rows, entries canonical in `field`: (the
+    nonzero canonical rows, their pivots), one row per pivot.  Over GF(p)
+    numpy reduces them in int64 arrays, with the column eliminations
+    vectorized; FieldSpec caps p below 2^31, so residue products fit."""
+    rows = list(rows)
+    if not rows:
+        return [], []
+    if not field.is_rationals:
+        return _rref_gf(rows, field.p)
+    zero, n = field.zero, len(rows[0])
+    echelon = _echelon_sparse(field, n, map(dict, _pairs(rows)))
+    pivots = sorted(echelon)
+    return [[echelon[p].get(c, zero) for c in range(n)]
+            for p in pivots], pivots
+
+
+def _pairs(rows) -> tuple:
+    """The (column, value) pairs of each dense row's nonzero entries."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x)
+                 for row in rows)
 
 
 def reduce_dense(sub: Subspace, v: Sequence) -> tuple:

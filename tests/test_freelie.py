@@ -1,5 +1,6 @@
 """Free nilpotent Lie algebras on Hall-tree bases."""
 
+import numpy as np
 import pytest
 
 from liecap import GF2, GF3, QQ
@@ -135,10 +136,19 @@ def test_resource_guard_rejects_huge_instances():
 
 
 def test_shape_guard_rejects_degenerate_parameters():
-    with pytest.raises(ShapeError):
-        free_nilpotent(0, 2, QQ)
-    with pytest.raises(ShapeError):
-        free_nilpotent(2, 0, QQ)
+    # a bool was read as 0 or 1 (free_nilpotent(True, 3) built an algebra
+    # named F(True,3)), and a float or a str raised a raw TypeError
+    for d, c in ((0, 2), (2, 0), (True, 3), (2, True), (2.0, 3), ("2", 3),
+                 (2, 3.0), (None, 3)):
+        with pytest.raises(ShapeError):
+            free_nilpotent(d, c, QQ)
+        with pytest.raises(ShapeError):
+            hall_basis(d, c)
+    # a numpy integer is an int, and the algebra is built from plain ints
+    F = free_nilpotent(np.int64(2), np.int64(3), QQ)
+    assert F.algebra.name == "F(2,3)" and (type(F.d), type(F.c)) == (int, int)
+    assert F.algebra.table == free_nilpotent(2, 3, QQ).algebra.table
+    assert hall_basis(np.int64(2), 3) == hall_basis(2, 3)
 
 
 # ----------------------------------------------------------------------

@@ -224,6 +224,11 @@ def test_numpy_integer_dimension_and_indices_accepted():
     assert all(type(k) is int for pair, out in L.table.items()
                for k in (*pair, *out))
     assert homology(L) == homology(M)
+    # and so are numpy integer coefficients, over Q and GF(p)
+    for f in (QQ, GF5):
+        N = LieAlgebra(f, 3, {(0, 1): {2: np.int64(6)}})
+        assert N.table == LieAlgebra(f, 3, {(0, 1): {2: 6}}).table
+        assert type(N.table[(0, 1)][2]) is type(f.one)
 
 
 @pytest.mark.parametrize("f", [QQ, GF3], ids=str)

@@ -19,7 +19,6 @@ from liecap.errors import FieldError, ShapeError
 from liecap.linalg import (
     coordinate_subspace,
     full_subspace,
-    rref_rows,
     subspace_intersect,
     zero_subspace,
 )
@@ -35,6 +34,7 @@ from oracles import (
     null_space_gauss_jordan,
     reduce_dense,
     reduce_rows,
+    rref_rows,
     solve_right_inverse,
     subspace_sum,
 )
@@ -522,9 +522,9 @@ def test_extend_to_complement_reduces_at_most_twice(monkeypatch):
         avoid = span(f, 20, [[f.random_scalar(rng) if j % 3 == 0 else 0
                               for j in range(20)] for _ in range(3)])
         cases.append((seed, avoid, extend_to_complement_greedy(seed, avoid)))
-    # every reduction counts once, whichever routine it enters first:
-    # rref_rows calls _echelon_sparse (over Q) or _rref_gf (over GF(p))
-    # inside itself, and those inner calls are not counted again
+    # every reduction counts once, whichever routine it enters first: the
+    # oracles' rref_rows calls _echelon_sparse (over Q) or _rref_gf (over
+    # GF(p)) inside itself, and those inner calls are not counted again
     calls, depth = [], [0]
 
     def counting(reduce):
@@ -538,9 +538,9 @@ def test_extend_to_complement_reduces_at_most_twice(monkeypatch):
                 depth[0] -= 1
         return wrapper
 
-    for name in ("rref_rows", "_echelon_sparse", "_rref_gf"):
-        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
-    monkeypatch.setattr(oracles, "rref_rows", linalg.rref_rows)
+    for module, name in ((oracles, "rref_rows"), (oracles, "_rref_gf"),
+                         (linalg, "_echelon_sparse")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     for seed, avoid, want in cases:
         calls.clear()
         assert extend_to_complement(seed, avoid) == want
@@ -582,11 +582,23 @@ def test_reduce_coerces_its_entries():
     assert red == (0, Fraction(-2), Fraction(-9, 2))
     assert all(type(x) is Fraction for x in red)
     assert span(GF5, 3, [[1, 2, 3]]).reduce([6, 0, -1]) == (0, 3, 1)
-    for bad in ([1.5, 0, 0], [1, 2, "x"]):
+    # numpy integers are integers, as they are for indices and dimensions
+    for f, want in ((QQ, (0, Fraction(-7), Fraction(-12))),
+                    (GF5, (0, 3, 3))):
+        line = span(f, 3, [[np.int64(1), np.int32(2), np.uint8(3)]])
+        assert line == span(f, 3, [[1, 2, 3]])
+        red = line.reduce([np.int64(2), np.int16(-3), np.int64(-6)])
+        assert red == want and all(type(x) is type(f.one) for x in red)
+        assert line.contains([np.int64(-1), -2, np.int64(-3)])
+    assert span(GF3, 2, [[np.int64(1), 0]]).rows == (((0, 1),),)
+    for bad in ([1.5, 0, 0], [1, 2, "x"], [np.float64(1), 0, 0],
+                [True, 0, 0], [np.bool_(True), 0, 0]):
         with pytest.raises(FieldError):
             s.reduce(bad)
         with pytest.raises(FieldError):
             s.contains(bad)
+        with pytest.raises(FieldError):
+            span(GF5, 3, [bad])
     for bad in (5, None):
         with pytest.raises(ShapeError, match="is not a sequence$"):
             s.reduce(bad)

@@ -65,9 +65,6 @@ from liecap.errors import (
 )
 from liecap.catalog import build, random_gen_heisenberg, standard_instances
 from liecap.classify import (
-    VerificationReport,
-    _check_central_ideal_bound,
-    _check_quotient_witnesses,
     _push,
     capability_structural,
     class3_stem_products,
@@ -108,6 +105,7 @@ from oracles import (
     exterior_center_from,
     exterior_center_whole_kernel,
     free_presentation,
+    gauss_jordan,
     lower_central_series_loop,
     lyndon_count,
     on_basis,
@@ -435,46 +433,34 @@ def test_library_built_rows_are_canonical(monkeypatch):
 
 
 def test_subspaces_of_l_need_no_dense_gf_reduction(monkeypatch):
-    # rref_rows, and numpy's _rref_gf behind it, are left only behind
-    # span(), for rows from outside.  The invariants below, the quotient,
-    # the intersection and two verify-paper sections build their rows
-    # sparse, so they must answer on every field with both gone; the
-    # algebras and the ideal are built first, since span still reaches them
+    # linalg has one elimination routine: the dense RREF (rref_rows, and
+    # numpy's _rref_gf behind it) lives on only in the test oracles, and
+    # span() reduces rows from outside through _echelon_sparse on every
+    # field, once per call, as _span_canonical does the library's own rows
+    for name in ("rref_rows", "_rref_gf", "_pairs"):
+        assert not hasattr(linalg, name), name
+    assert build("L5_5", GF2).degrees() is None  # ungraded
     cases = []
     for f in (QQ, GF2, GF3):
-        for L in (build("L5_5", f), free_nilpotent(2, 3, f).algebra):
-            I = span(f, L.dim, [L.center().basis[0]])
-            cases.append((LieAlgebra(f, L.dim, L.table, name=L.name), I,
-                          invariants(L, I)))
-    assert build("L5_5", GF2).degrees() is None  # ungraded
-    reports = {f: verification_sections(f) for f in (QQ, GF2, GF3)}
+        L = build("L5_5", f)
+        rows = L.center().basis + L.derived_subalgebra().basis + tuple(
+            L.bracket(L.basis_vector(i), L.basis_vector(j))
+            for i in range(L.dim) for j in range(L.dim))
+        cases.append((f, L.dim, rows))
+    reduce, calls = linalg._echelon_sparse, []
 
-    def forbidden(*args):
-        pytest.fail("rref_rows reduced rows the library built sparse")
+    def counting(f, ncols, rows):
+        calls.append(f)
+        return reduce(f, ncols, rows)
 
-    for name in ("rref_rows", "_rref_gf"):
-        monkeypatch.setattr(linalg, name, forbidden)
-    for copy, I, want in cases:
-        assert invariants(copy, I) == want, copy.name
-    for f, want in reports.items():
-        got = verification_sections(f)
-        assert got.all_passed and got.to_json() == want.to_json(), f
-
-
-def invariants(L, I):
-    return (homology(L), L.center(), L.upper_central_series(),
-            L.derived_subalgebra(), L.lower_central_series(),
-            epicenter_test_dd(L, I), L.quotient(I).table,
-            subspace_intersect(L.derived_subalgebra(), I))
-
-
-def verification_sections(f):
-    """The central-ideal bound and quotient-witness sections of
-    verify-paper over f, on algebras built fresh."""
-    report = VerificationReport([str(f)], 0)
-    _check_central_ideal_bound(report, f, 0)
-    _check_quotient_witnesses(report, f)
-    return report
+    monkeypatch.setattr(linalg, "_echelon_sparse", counting)
+    for f, n, rows in cases:
+        calls.clear()
+        got = span(f, n, rows)
+        assert calls == [f]
+        basis, pivots = gauss_jordan(f, rows)
+        assert got.pivots == tuple(pivots), f
+        assert got.basis == tuple(map(tuple, basis)), f
 
 
 # ----------------------------------------------------------------------

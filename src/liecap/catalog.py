@@ -131,7 +131,7 @@ def eps_values(field: FieldSpec) -> list:
 def standard_instances(field: FieldSpec) -> list:
     """Every catalog algebra buildable over the field, fixed parameter
     sweep, deterministic order."""
-    out = [
+    return [
         build("A", field, n=3),
         build("H", field, m=1),
         build("H", field, m=2),
@@ -142,16 +142,18 @@ def standard_instances(field: FieldSpec) -> list:
         build("L5_8", field),
         build("L6_10", field),
         build("L6_13", field),
+        *rank2_dim6(field),
+        build("L27A", field),
+        build("L27B", field),
     ]
+
+
+def rank2_dim6(field: FieldSpec) -> list:
+    """The rank-2 dim-6 family over the field: L6_7_2 at eta in {0, omega}
+    in characteristic 2, else L6_22 at each of eps_values."""
     if field.characteristic == 2:
-        out.append(build("L6_7_2", field, eta=0))
-        out.append(build("L6_7_2", field, eta=field.omega()))
-    else:
-        for e in eps_values(field):
-            out.append(build("L6_22", field, eps=e))
-    out.append(build("L27A", field))
-    out.append(build("L27B", field))
-    return out
+        return [build("L6_7_2", field, eta=e) for e in (0, field.omega())]
+    return [build("L6_22", field, eps=e) for e in eps_values(field)]
 
 
 def random_gen_heisenberg(dim: int, rank: int, field: FieldSpec,

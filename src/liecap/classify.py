@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from . import catalog, schur
@@ -331,47 +331,26 @@ def verify_paper(fields: Sequence[FieldSpec] = (QQ, GF2),
                  seed: int = 0) -> VerificationReport:
     fields = tuple(fields)
     report = VerificationReport([str(f) for f in fields], seed)
-    for f in fields:
-        _check_multipliers(report, f)
-    for f in fields:
-        _check_class2(report, f)
-    for f in fields:
-        _check_class3(report, f)
-    for f in fields:
-        _check_quotient_witnesses(report, f)
-    for f in fields:
-        _check_central_ideal_bound(report, f, seed)
-    for f in fields:
-        _check_central_products(report, f)
-    for f in fields:
-        _check_free_algebra(report, f)
-    for f in fields:
-        _check_agreement(report, f)
-    for f in fields:
-        if not f.is_rationals:
-            _check_random_heisenberg(report, f, seed)
-    for f in fields:
-        _check_homology_identities(report, f)
+    checks = (_check_multipliers, _check_class2, _check_class3,
+              _check_quotient_witnesses,
+              partial(_check_central_ideal_bound, seed=seed),
+              _check_central_products, _check_free_algebra, _check_agreement,
+              partial(_check_random_heisenberg, seed=seed),
+              _check_homology_identities)
+    for check in checks:
+        for f in fields:
+            check(report, f)
     return report
 
 
 def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
     lab = str(f)
     sec = "multiplier_dims"
-    if f.characteristic != 2:
-        for e in catalog.eps_values(f):
-            L = catalog.build("L6_22", f, eps=e)
-            got = schur.schur_multiplier_dim(L)
-            report.add(sec, f"{lab}/{L.name}",
-                       "rank-2 dim-6 family multiplier", {"dim_M": got},
-                       got == 8)
-    else:
-        for eta in (0, 1):
-            L = catalog.build("L6_7_2", f, eta=eta)
-            got = schur.schur_multiplier_dim(L)
-            report.add(sec, f"{lab}/{L.name}",
-                       "rank-2 dim-6 char-2 family multiplier",
-                       {"dim_M": got}, got == 8)
+    family = ("rank-2 dim-6 char-2 family multiplier"
+              if f.characteristic == 2 else "rank-2 dim-6 family multiplier")
+    for L in catalog.rank2_dim6(f):
+        got = schur.schur_multiplier_dim(L)
+        report.add(sec, f"{lab}/{L.name}", family, {"dim_M": got}, got == 8)
     for n in range(2, 7):
         L = catalog.build("A", f, n=n)
         got = schur.schur_multiplier_dim(L)
@@ -390,8 +369,7 @@ def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
     if f.characteristic != 2:
         # central-line quotients of the dim-6 rank-2 family: values are
         # recorded and the capability-driving strict bound is asserted
-        for e in catalog.eps_values(f):
-            L = catalog.build("L6_22", f, eps=e)
+        for L in catalog.rank2_dim6(f):
             m_l = schur.schur_multiplier_dim(L)
             dims = []
             ok = True
@@ -408,18 +386,12 @@ def _check_multipliers(report: VerificationReport, f: FieldSpec) -> None:
 
 
 def _expected_class2(f: FieldSpec) -> list:
-    out = [(catalog.build("L5_8", f), True)]
-    if f.characteristic == 2:
-        out.append((catalog.build("L6_7_2", f, eta=0), True))
-        out.append((catalog.build("L6_7_2", f, eta=f.omega()), True))
-    else:
-        for e in catalog.eps_values(f):
-            out.append((catalog.build("L6_22", f, eps=e), True))
-    out.append((catalog.build("L27A", f), True))
-    out.append((catalog.build("L27B", f), False))
-    out.append((catalog.build("H", f, m=2), False))
-    out.append((catalog.build("H", f, m=3), False))
-    return out
+    return [(catalog.build("L5_8", f), True),
+            *[(L, True) for L in catalog.rank2_dim6(f)],
+            (catalog.build("L27A", f), True),
+            (catalog.build("L27B", f), False),
+            (catalog.build("H", f, m=2), False),
+            (catalog.build("H", f, m=3), False)]
 
 
 def _check_class2(report: VerificationReport, f: FieldSpec) -> None:
@@ -646,6 +618,8 @@ def _check_agreement(report: VerificationReport, f: FieldSpec) -> None:
 
 def _check_random_heisenberg(report: VerificationReport, f: FieldSpec,
                              seed: int) -> None:
+    if f.is_rationals:
+        return  # the sampler draws over finite fields only
     lab = str(f)
     sec = "random_heisenberg"
     ref_a = catalog.build("L27A", f)

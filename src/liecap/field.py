@@ -135,9 +135,6 @@ class FieldSpec:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) if self.kind == "Q" else (a + b) % self.p
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) if self.kind == "Q" else (a - b) % self.p
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return (a * b) if self.kind == "Q" else (a * b) % self.p
 

@@ -80,6 +80,7 @@ def _mobius(n: int) -> int:
 def witt_dimension(d: int, k: int) -> int:
     """Number of degree-k Hall basis elements on d generators:
     (1/k) sum_{m | k} mu(m) d^(k/m)."""
+    d, k = _degree_bounds("witt_dimension", d, k)
     total = 0
     for m in range(1, k + 1):
         if k % m == 0:

@@ -204,15 +204,6 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return linalg.full_subspace(self.field, self.dim)
 
-    def bracket_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
-        """span{[x, y] : x in a, y in b}."""
-        a._check_mate(b)
-        if a.ambient_dim != self.dim:
-            raise ShapeError("subspace ambient does not match algebra dim")
-        sa, sb = [dict(x) for x in a.rows], [dict(y) for y in b.rows]
-        rows = [self.bracket_sparse(x, y) for x in sa for y in sb]
-        return linalg._span_canonical(self.field, self.dim, rows)
-
     def derived_subalgebra(self) -> Subspace:
         """L^2, the span of the table's values."""
         if "derived" not in self._cache:
@@ -264,25 +255,27 @@ class LieAlgebra:
         return self._cache["degrees"]
 
     def lower_central_series(self) -> tuple:
-        """(L^1, L^2, ...) down to 0 or to stabilization: read off the
-        degrees when the basis is standard-graded, else by brackets."""
+        """(L^1, L^2, ...) down to 0 or to stabilization, on every basis:
+        L^2 is the span of the table's values, and L^(k+1) = [L^k, L] the
+        span of [v, e_j] over the canonical rows v of L^k and the j that
+        share a table entry with v's support ([v, e_j] = 0 for the rest)."""
         if "lcs" in self._cache:
             return self._cache["lcs"]
         f, n = self.field, self.dim
-        deg = self.degrees()
-        if deg is not None:
-            series = [linalg.coordinate_subspace(
-                f, n, [i for i in range(n) if deg[i] >= k])
-                for k in range(1, max(deg, default=1) + 2)]
-        else:
-            series = [self.full_space()]
-            nxt = self.derived_subalgebra()
-            while True:
-                stable = nxt.dim == series[-1].dim  # above 0: not nilpotent
-                series.append(nxt)
-                if stable or nxt.is_zero:
-                    break
-                nxt = self.bracket_subspaces(nxt, series[0])
+        partners: list = [set() for _ in range(n)]
+        for i, j in self.table:
+            partners[i].add(j)
+            partners[j].add(i)
+        series = [self.full_space()]
+        nxt = self.derived_subalgebra()
+        while True:
+            stable = nxt.dim == series[-1].dim  # above 0: not nilpotent
+            series.append(nxt)
+            if stable or nxt.is_zero:
+                break
+            nxt = linalg._span_canonical(f, n, [
+                self.bracket_sparse(v, {j: f.one}) for v in map(dict, nxt.rows)
+                for j in set().union(*[partners[i] for i in v])])
         self._cache["lcs"] = tuple(series)
         return self._cache["lcs"]
 

@@ -13,12 +13,12 @@ integer rows, and Fractions appear only in the returned rows; over GF(p)
 the rows are ints mod p, each 1 at its pivot, and are combined in place
 with no helper call, since most of the rows it sees are a few entries
 long.  Its rows are the wedge relations of schur, the subspaces of L that
-_span_canonical and _kernel_canonical take as dicts (L^2, [A, B], the
-centers and Z^(L)), the Zassenhaus rows of subspace_intersect, and the
-rows from outside that span() and kernel() take dense (central product
-gluing vectors among them), which _coerced hands on as the dicts of their
-nonzero coerced entries.  The returned Subspace keeps the canonical rows
-sparse.
+_span_canonical and _kernel_canonical take as dicts (the terms of the
+lower central series, the centers and Z^(L)), the Zassenhaus rows of
+subspace_intersect, and the rows from outside that span() and kernel()
+take dense (central product gluing vectors among them), which _coerced
+hands on as the dicts of their nonzero coerced entries.  The returned
+Subspace keeps the canonical rows sparse.
 
 It is exact; there is no floating point and no modular lifting.
 Reduction modulo a subspace is Subspace._residual alone, on sparse rows:

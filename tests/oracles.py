@@ -22,7 +22,8 @@ exterior center from the generators.  `commutator_full_route` and
 
 The module also keeps what the package no longer needs and the tests
 still read: `Hom`, a linear map held as its rows, with its image, kernel
-and bracket check;
+and bracket check; `bracket_subspaces`, the span of [x, y] over the rows
+of two subspaces, which `commutator_full_route` runs;
 the stem decomposition L = T (+) A (`stem_decompose`, built with
 `extend_to_complement` and `subalgebra_on`), which checks the class-2
 rule's stem dimension; `subspace_sum`, `span_rows` and `coordinates`;
@@ -55,6 +56,7 @@ from liecap.liealg import LieAlgebra, direct_sum, minimal_generators
 from liecap.linalg import (
     Subspace,
     _echelon_sparse,
+    _span_canonical,
     coordinate_subspace,
     kernel,
     span,
@@ -87,7 +89,7 @@ def gauss_jordan(f, rows) -> tuple:
         work[r] = [f.mul(inv, y) for y in work[r]]
         for i, row in enumerate(work):
             if i != r and row[c] != 0:
-                work[i] = [f.sub(y, f.mul(row[c], z))
+                work[i] = [f.add(y, f.neg(f.mul(row[c], z)))
                            for y, z in zip(row, work[r])]
         pivots.append(c)
     return work[:len(pivots)], pivots
@@ -157,7 +159,7 @@ def reduce_dense(sub: Subspace, v: Sequence) -> tuple:
     for row, p in zip(sub.basis, sub.pivots):
         c = w[p]
         if c != 0:
-            w = [f.sub(y, f.mul(c, x)) for y, x in zip(w, row)]
+            w = [f.add(y, f.neg(f.mul(c, x))) for y, x in zip(w, row)]
     return tuple(w)
 
 
@@ -577,7 +579,7 @@ def random_pencil_stem(f, rng, decomposable: bool) -> LieAlgebra:
         if decomposable:
             a = [f.coerce(scalar()) for _ in range(5)]
             b = [f.coerce(scalar()) for _ in range(5)]
-            y = {(i, j): f.sub(f.mul(a[i], b[j]), f.mul(a[j], b[i]))
+            y = {(i, j): f.add(f.mul(a[i], b[j]), f.neg(f.mul(a[j], b[i])))
                  for i, j in pairs}
         else:
             y = {pr: f.coerce(scalar()) for pr in pairs}
@@ -805,9 +807,19 @@ def exterior_center_from(pres: Presentation) -> Subspace:
     return kernel(L.field, n, [rows[k] for k in sorted(rows)])
 
 
+def bracket_subspaces(L, a, b):
+    """span{[x, y] : x in a, y in b}."""
+    a._check_mate(b)
+    if a.ambient_dim != L.dim:
+        raise ShapeError("subspace ambient does not match algebra dim")
+    sa, sb = [dict(x) for x in a.rows], [dict(y) for y in b.rows]
+    rows = [L.bracket_sparse(x, y) for x in sa for y in sb]
+    return _span_canonical(L.field, L.dim, rows)
+
+
 def commutator_full_route(F, R):
     """[R, F] spanned over the full Hall basis, not just the generators."""
-    return F.algebra.bracket_subspaces(R, F.algebra.full_space())
+    return bracket_subspaces(F.algebra, R, F.algebra.full_space())
 
 
 def exterior_center_all_pairs(pres):

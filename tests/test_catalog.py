@@ -149,6 +149,14 @@ def test_standard_instances_respect_characteristic():
         assert not L.name.startswith("L6_22")
     for L in standard_instances(QQ):
         assert not L.name.startswith("L6_7_2")
+    # the rank-2 dim-6 family, as standard_instances and verify-paper take it
+    assert [L.name for L in catalog.rank2_dim6(GF2)] == [
+        "L6_7_2(eta=0)", "L6_7_2(eta=1)"]
+    assert [L.name for L in catalog.rank2_dim6(GF5)] == [
+        "L6_22(eps=0)", "L6_22(eps=1)", "L6_22(eps=4)", "L6_22(eps=2)"]
+    for f in (QQ, GF2, GF3, GF5):
+        family = catalog.rank2_dim6(f)
+        assert standard_instances(f)[10:10 + len(family)] == family
 
 
 # ----------------------------------------------------------------------

@@ -449,21 +449,26 @@ def test_every_definition_is_referenced_or_exported():
     """Each module-level function and class, and each method, dunders
     aside, is named in the package's code, exported by `__all__` or allowed
     above, and each allowed one is still named nowhere.  Names are matched,
-    not bindings: a method passes when any method of its name is used."""
+    not bindings: a module-level definition passes when a name or an
+    attribute of its name is used, a method only when an attribute is (a
+    local variable of its name does not count), and then any method of its
+    name."""
     trees = [ast.parse(path.read_text())
              for path in sorted(Path(liecap.__file__).parent.glob("*.py"))]
-    named = set(liecap.__all__)
+    names, attributes = set(liecap.__all__), set()
     for node in (n for tree in trees for n in ast.walk(tree)):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            named.add(node.id if isinstance(node, ast.Name) else node.attr)
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
     defined = []
     for node in (n for tree in trees for n in tree.body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.append((node.name, node.name))
+            defined.append((node.name, node.name, names | attributes))
         if isinstance(node, ast.ClassDef):
-            defined += [(f"{node.name}.{sub.name}", sub.name)
+            defined += [(f"{node.name}.{sub.name}", sub.name, attributes)
                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
-    unnamed = {qual for qual, name in defined
+    unnamed = {qual for qual, name, named in defined
                if name not in named and not re.fullmatch(r"__\w+__", name)}
     assert unnamed == set(UNREFERENCED_ALLOWED)
 

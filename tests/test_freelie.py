@@ -137,18 +137,22 @@ def test_resource_guard_rejects_huge_instances():
 
 def test_shape_guard_rejects_degenerate_parameters():
     # a bool was read as 0 or 1 (free_nilpotent(True, 3) built an algebra
-    # named F(True,3)), and a float or a str raised a raw TypeError
+    # named F(True,3), witt_dimension(True, 3) returned 0), and a float or
+    # a str raised a raw TypeError or, in witt_dimension(2.0, 3), returned
+    # 2.0; witt_dimension(2, 0) raised ZeroDivisionError, and (2, -1) and
+    # (-1, 2) returned 0 and 1
     for d, c in ((0, 2), (2, 0), (True, 3), (2, True), (2.0, 3), ("2", 3),
-                 (2, 3.0), (None, 3)):
-        with pytest.raises(ShapeError):
-            free_nilpotent(d, c, QQ)
-        with pytest.raises(ShapeError):
-            hall_basis(d, c)
+                 (2, 3.0), (None, 3), (2, -1), (-1, 2)):
+        for call in (lambda d, c: free_nilpotent(d, c, QQ), hall_basis,
+                     witt_dimension):
+            with pytest.raises(ShapeError):
+                call(d, c)
     # a numpy integer is an int, and the algebra is built from plain ints
     F = free_nilpotent(np.int64(2), np.int64(3), QQ)
     assert F.algebra.name == "F(2,3)" and (type(F.d), type(F.c)) == (int, int)
     assert F.algebra.table == free_nilpotent(2, 3, QQ).algebra.table
     assert hall_basis(np.int64(2), 3) == hall_basis(2, 3)
+    assert witt_dimension(np.int64(7), np.int64(4)) == 588
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from liecap.catalog import build, standard_instances
 
 from oracles import (
     Hom,
-    bracket_subspaces_all_pairs,
     jacobi_violations_all_triples,
     lower_central_series_loop,
     on_basis,
@@ -323,50 +322,6 @@ def test_bracket_bilinear_random():
             assert L.bracket(y, x) == tuple(f.neg(c) for c in xy)
 
 
-def test_bracket_subspaces_of_whole_algebra():
-    H = build("H", QQ, m=1)
-    der = H.bracket_subspaces(H.full_space(), H.full_space())
-    assert der.dim == 1 and der.basis == ((0, 0, 1),)
-
-
-def test_bracket_subspaces_with_zero():
-    L = build("L5_8", GF2)
-    assert L.bracket_subspaces(L.full_space(), zero_subspace(GF2, 5)).dim == 0
-
-
-@st.composite
-def _subspace_pairs(draw):
-    """(L, a, b): a catalog algebra and two subspaces, each the whole
-    algebra, zero or the span of random rows."""
-    f = draw(st.sampled_from([QQ, GF2, GF3]))
-    L = draw(st.sampled_from(standard_instances(f)))
-    n = L.dim
-    entry = st.integers(-2, 2) if f.is_rationals else st.integers(0, f.p - 1)
-
-    def subspace():
-        kind = draw(st.sampled_from(["full", "zero", "rows"]))
-        if kind == "full":
-            return L.full_space()
-        if kind == "zero":
-            return zero_subspace(f, n)
-        return span(f, n, draw(st.lists(st.lists(entry, min_size=n,
-                                                 max_size=n), max_size=n)))
-
-    return L, subspace(), subspace()
-
-
-_L6 = build("L6_22", GF3, eps=1)
-
-
-@example((_L6, _L6.full_space(), _L6.full_space()))
-@example((_L6, _L6.full_space(), zero_subspace(GF3, 6)))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_subspace_pairs())
-def test_bracket_subspaces_match_all_pairs(case):
-    L, a, b = case
-    assert L.bracket_subspaces(a, b) == bracket_subspaces_all_pairs(L, a, b)
-
-
 def test_derived_subalgebra_rank_two_example():
     # [x1,x2]=x4, [x1,x3]=x5 -> derived = span{x4, x5}
     L = build("L5_8", QQ)
@@ -420,6 +375,53 @@ def test_degrees_of_abelian_sums_on_either_side():
         for M in (direct_sum(L, abelian(f, 2)), abelian(f, 3), abelian(f, 0)):
             assert M.lower_central_series() == \
                 lower_central_series_loop(M), (f, M.name)
+
+
+def _sl2_plus_a1(f):
+    """sl_2 (+) A(1) on (h, e, f, z): [h, e] = 2e, [h, f] = -2f and
+    [e, f] = h.  sl_2 is perfect in characteristic != 2, so the series
+    stabilizes at it."""
+    two = f.coerce(2)
+    return LieAlgebra(f, 4, {(0, 1): {1: two}, (0, 2): {2: f.neg(two)},
+                             (1, 2): {0: f.one}}, name="sl2+A(1)")
+
+
+@st.composite
+def _series_cases(draw):
+    """A catalog algebra, abelian(f, 0), or one of two algebras that are
+    not nilpotent (_solvable_2dim, and sl_2 (+) A(1) in characteristic
+    != 2), with A(k) on either side, in the input basis or on a basis from
+    _bases: ungraded when that basis is dense."""
+    f = draw(st.sampled_from(FIELDS))
+    L = draw(st.sampled_from(
+        standard_instances(f) + [abelian(f, 0), _solvable_2dim(f)]
+        + ([_sl2_plus_a1(f)] if f.characteristic != 2 else [])))
+    A = abelian(f, draw(st.integers(0, 2)))
+    L = draw(st.sampled_from([direct_sum(L, A), direct_sum(A, L)]))
+    if L.dim and draw(st.booleans()):
+        return on_basis(L, draw(_bases(f, L.dim)))[1]
+    return L
+
+
+@example(abelian(QQ, 0))
+@example(_solvable_2dim(GF2))
+@example(_sl2_plus_a1(GF3))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_series_cases())
+def test_lower_series_matches_the_loop_oracle(L):
+    # the series brackets each row of L^k with the e_j that share a table
+    # entry with its support; the oracle brackets with every e_j, dense
+    assert L.lower_central_series() == lower_central_series_loop(L)
+
+
+@pytest.mark.parametrize("f", [QQ, GF3, GF5], ids=str)
+def test_lower_series_of_sl2_stabilizes_above_zero(f):
+    L = _sl2_plus_a1(f)
+    assert L.validate().ok
+    assert [s.dim for s in L.lower_central_series()] == [4, 3, 3]
+    assert not L.is_nilpotent
+    with pytest.raises(NotNilpotentError, match="stabilizes at dim 3"):
+        L.nilpotency_class()
 
 
 def test_center_heisenberg():

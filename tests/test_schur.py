@@ -385,10 +385,10 @@ def assert_canonical_sparse(f, ncols, rows):
 
 def test_library_built_rows_are_canonical(monkeypatch):
     # every row handed to _span_canonical() and _kernel_canonical(): the
-    # derived subalgebras and bracket subspaces, the exterior-center
-    # constraints, the centers and the upper central series; and, dense,
-    # the glue ideal `central_product` returns and the presentation
-    # oracle's projection and section
+    # derived subalgebras and the terms of the lower central series, the
+    # exterior-center constraints, the centers and the upper central
+    # series; and, dense, the glue ideal `central_product` returns and the
+    # presentation oracle's projection and section
     handed = []
 
     def recording(reduce):
@@ -419,7 +419,7 @@ def test_library_built_rows_are_canonical(monkeypatch):
             assert any(name == "_kernel_canonical" for name, *_ in handed), (
                 f, L.name)
             copy.upper_central_series()
-            copy.bracket_subspaces(copy.full_space(), copy.full_space())
+            copy.lower_central_series()
             assert {name for name, *_ in handed} == {
                 "_span_canonical", "_kernel_canonical"}, (f, L.name)
             z = copy.center().basis[0]
@@ -872,8 +872,9 @@ def _shuffled_graded(draw):
 @given(st.one_of(_top_degree_quotients(), _rebased().map(lambda c: c[2]),
                  _shuffled_graded()))
 def test_degree_cut_matches_the_oracles(L):
-    # the series read off the degrees against brackets, and the blocks of J
-    # and the generator constraints against the presentation oracle
+    # the series against dense brackets with every basis vector, and the
+    # blocks of J and the generator constraints against the presentation
+    # oracle
     assert L.lower_central_series() == lower_central_series_loop(L)
     wedge, presented = both_routes(L)
     assert wedge == presented
